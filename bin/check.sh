@@ -1,10 +1,11 @@
 #!/bin/sh
 # Full pre-merge check: build everything under the strict dev profile
 # (warnings are errors), run the test suite, lint every example
-# workload with the static analyzer, run the eight end-to-end smoke
-# aliases (query server, bench JSON export, multi-domain execution,
-# explain reports, conformance fuzzing, extended relational
-# operators, structured query log, plan cache), and compare a fresh bench run
+# workload with the static analyzer, run the end-to-end smoke aliases
+# (query server, bench JSON export, multi-domain execution, explain
+# reports, conformance fuzzing, extended relational operators,
+# structured query log, plan cache, standing queries, the served-path
+# benchmark at smoke size), and compare a fresh bench run
 # against the committed BENCH_seed.json (an enforcing gate:
 # drift-normalized p50 regressions that persist across three re-runs
 # fail the check unless TCSQ_BENCH_ALLOW_REGRESSION=1).
@@ -36,5 +37,6 @@ step relops-smoke   dune build @relops-smoke
 step qlog-smoke     dune build @qlog-smoke
 step plancache-smoke dune build @plancache-smoke
 step subscribe-smoke dune build @subscribe-smoke
+step perfbench-smoke dune build @perfbench-smoke
 step bench-compare  bin/bench_compare.sh
 echo "check.sh: all steps clean"

@@ -7,7 +7,8 @@
     - {b LSD}: label → source → destination → edges start-sorted —
       R(l, s, d);
     - {b LDS}: trie structure only (its leaf TSRs are recovered through
-      LSD, the paper's storage-saving note).
+      LSD, the paper's storage-saving note); its label and destination
+      levels are LD's.
 
     Key levels are sorted integer arrays, so leapfrog binding production
     runs over them directly. When built [~with_eci:true], every TSR of
@@ -24,11 +25,17 @@ val build_time : ?with_eci:bool -> Tgraph.Graph.t -> t * float
 
 val merge : t -> Tgraph.Graph.t -> t
 (** [merge tai g'] is the TAI of [g'], where [g'] extends [tai]'s graph
-    by appended edges (see {!Tgraph.Graph.append}). Sorted edge arrays
-    are maintained by sorted merge instead of re-sorting, and — the real
-    saving — ECI coverages are rebuilt only for the (label, key) groups
-    the new edges touch; untouched groups reuse their existing coverage.
-    The incremental-maintenance primitive behind {!Incremental}.
+    by appended edges (see {!Tgraph.Graph.append}); it is structurally
+    identical to [build g'] and keeps [tai]'s ECI setting. Only the
+    appended edges are sorted: each lands in the old trie-ordered edge
+    arrays by binary search. Every trie level is walked together with
+    the sorted delta in key order; a (label, key) group the delta does
+    not touch keeps its old child groupings (offsets moved) and its ECI
+    coverage, while touched groups are regrouped and get a fresh
+    coverage. LDS comes from the merged LD, and the wildcard key sets
+    merge in the delta's sorted keys. {!build} is the same merge into
+    the empty TAI. The incremental-maintenance primitive behind
+    {!Incremental}.
     @raise Invalid_argument when [g'] does not extend the indexed
     graph. *)
 

@@ -5,67 +5,45 @@ let empty = { tuples = [||] }
 let tuples c = c.tuples
 let n_tuples c = Array.length c.tuples
 
-(* The step function t -> eC(t) can only change value at an interval start
-   or just after an interval end. We sweep those critical times in
-   ascending order, maintaining the active intervals in a min-heap keyed
-   by start time. Expired intervals are removed lazily: an expired
-   non-minimum element never affects eC, and expired minimums are popped
-   before reading. *)
+(* eC(t) is the start of the earliest-starting interval overlapping t.
+   With items sorted by start, that is the start of the first item (in
+   start order) whose end is >= t, provided that item has started by t:
+   every interval overlapping t comes no earlier in start order, so it
+   starts no earlier. That first item stays first until t passes its
+   end, so eC is constant from t to its end, and the sweep jumps there:
+   one pass over the items, no sort. A piece extends the previous tuple
+   when contiguous with an equal ec, so runs come out maximal; every
+   piece moves the first item forward, so there are at most [n]. *)
+let of_run n ~ts ~te =
+  for i = 1 to n - 1 do
+    if ts i < ts (i - 1) then invalid_arg "Coverage.of_run: not in start order"
+  done;
+  let out = Array.make n { cs = 0; ce = 0; ec = 0 } in
+  let n_out = ref 0 and first = ref 0 and time = ref min_int in
+  while !first < n do
+    let i = !first in
+    if te i < !time then incr first
+    else begin
+      let ec = ts i and ce = te i in
+      let cs = if ec > !time then ec else !time in
+      let last = !n_out - 1 in
+      if last >= 0 && out.(last).ec = ec && out.(last).ce + 1 = cs then
+        out.(last) <- { (out.(last)) with ce }
+      else begin
+        out.(!n_out) <- { cs; ce; ec };
+        incr n_out
+      end;
+      time := ce + 1
+    end
+  done;
+  if !n_out = 0 then empty else { tuples = Array.sub out 0 !n_out }
+
 let build items =
   if not (Span_item.is_sorted_by_start items) then
     invalid_arg "Coverage.build: items not sorted by start time";
-  let n = Array.length items in
-  if n = 0 then empty
-  else begin
-    let critical = Array.make (2 * n) 0 in
-    Array.iteri
-      (fun i it ->
-        critical.(2 * i) <- Span_item.ts it;
-        critical.((2 * i) + 1) <- Span_item.te it + 1)
-      items;
-    Array.sort Int.compare critical;
-    let heap =
-      Min_heap.create ~capacity:n
-        ~cmp:(fun a b -> Interval.compare (Span_item.ivl a) (Span_item.ivl b))
-        ()
-    in
-    let out = ref [] in
-    let next_item = ref 0 in
-    let n_critical = Array.length critical in
-    let i = ref 0 in
-    while !i < n_critical do
-      let time = critical.(!i) in
-      (* Skip duplicate critical times. *)
-      while !i < n_critical && critical.(!i) = time do incr i done;
-      while !next_item < n && Span_item.ts items.(!next_item) <= time do
-        Min_heap.push heap items.(!next_item);
-        incr next_item
-      done;
-      Min_heap.drain_while heap (fun it -> Span_item.te it < time);
-      let segment_end =
-        if !i < n_critical then critical.(!i) - 1 else time
-        (* the last critical time is max(te)+1, where the heap is empty *)
-      in
-      match Min_heap.peek heap with
-      | None -> ()
-      | Some earliest ->
-          let ec = Span_item.ts earliest in
-          out := { cs = time; ce = segment_end; ec } :: !out
-    done;
-    (* Merge adjacent segments sharing the same earliest concurrent. *)
-    let merged =
-      List.fold_left
-        (fun acc seg ->
-          match acc with
-          | prev :: rest
-            when prev.ec = seg.ec && prev.ce + 1 = seg.cs ->
-              { prev with ce = seg.ce } :: rest
-          | _ -> seg :: acc)
-        []
-        (List.rev !out)
-    in
-    { tuples = Array.of_list (List.rev merged) }
-  end
+  of_run (Array.length items)
+    ~ts:(fun i -> Span_item.ts items.(i))
+    ~te:(fun i -> Span_item.te items.(i))
 
 (* Binary search: first tuple with ce >= t (tuples are disjoint and sorted
    by cs, hence also by ce). That tuple either contains t or starts after

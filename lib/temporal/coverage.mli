@@ -24,6 +24,12 @@ val build : Span_item.t array -> t
     sorted by start time ({!Span_item.sort_by_start} order).
     @raise Invalid_argument if the array is not sorted. *)
 
+val of_run : int -> ts:(int -> int) -> te:(int -> int) -> t
+(** [of_run n ~ts ~te] is the coverage of the [n] intervals
+    [[ts i, te i]], [i] in [0 .. n-1], indexed in start order: the same
+    tuples as {!build} on them, without materializing span items.
+    @raise Invalid_argument if [ts] decreases. *)
+
 val empty : t
 (** Coverage of the empty relation. *)
 

@@ -20,33 +20,29 @@ let compare_by_start a b =
   let c = Temporal.Interval.compare a.ivl b.ivl in
   if c <> 0 then c else Int.compare a.id b.id
 
-let compare_chain cs = List.fold_left (fun acc c -> if acc <> 0 then acc else c) 0 cs
-
+(* The trie orders compare their integer keys lexicographically, then
+   by start; each key is read only when every earlier one ties. *)
 let compare_lsd a b =
-  compare_chain
-    [
-      Int.compare a.lbl b.lbl;
-      Int.compare a.src b.src;
-      Int.compare a.dst b.dst;
-      compare_by_start a b;
-    ]
+  if a.lbl <> b.lbl then Int.compare a.lbl b.lbl
+  else if a.src <> b.src then Int.compare a.src b.src
+  else if a.dst <> b.dst then Int.compare a.dst b.dst
+  else compare_by_start a b
 
 let compare_lds a b =
-  compare_chain
-    [
-      Int.compare a.lbl b.lbl;
-      Int.compare a.dst b.dst;
-      Int.compare a.src b.src;
-      compare_by_start a b;
-    ]
+  if a.lbl <> b.lbl then Int.compare a.lbl b.lbl
+  else if a.dst <> b.dst then Int.compare a.dst b.dst
+  else if a.src <> b.src then Int.compare a.src b.src
+  else compare_by_start a b
 
 let compare_ls a b =
-  compare_chain
-    [ Int.compare a.lbl b.lbl; Int.compare a.src b.src; compare_by_start a b ]
+  if a.lbl <> b.lbl then Int.compare a.lbl b.lbl
+  else if a.src <> b.src then Int.compare a.src b.src
+  else compare_by_start a b
 
 let compare_ld a b =
-  compare_chain
-    [ Int.compare a.lbl b.lbl; Int.compare a.dst b.dst; compare_by_start a b ]
+  if a.lbl <> b.lbl then Int.compare a.lbl b.lbl
+  else if a.dst <> b.dst then Int.compare a.dst b.dst
+  else compare_by_start a b
 
 let equal a b = a.id = b.id
 

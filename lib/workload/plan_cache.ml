@@ -41,6 +41,10 @@ type entry = {
   mutable last_levels : int array;  (* most recent observed actuals *)
   mutable consecutive_misest : int;
   mutable poisoned : bool;
+  mutable calibrated : bool;
+      (* re-planned from observed cardinalities: its stored estimates are
+         the static ones that were already found wrong, so feedback no
+         longer poisons it; the generation bump drops it *)
   mutable last_used : int;  (* LRU clock value of the last touch *)
 }
 
@@ -227,6 +231,8 @@ let store t q ~plan ~est_intermediate ~est_levels =
     locked t (fun () ->
         (match Hashtbl.find_opt t.table key with
         | Some entry ->
+            (* storing over a poisoned entry is the caller's re-plan *)
+            entry.calibrated <- entry.calibrated || entry.poisoned;
             entry.steps <- steps;
             entry.est_intermediate <- est_intermediate;
             entry.est_levels <- Array.copy est_levels;
@@ -244,6 +250,7 @@ let store t q ~plan ~est_intermediate ~est_levels =
                 last_levels = [||];
                 consecutive_misest = 0;
                 poisoned = false;
+                calibrated = false;
                 last_used = tick t;
               }))
   end
@@ -269,6 +276,7 @@ let feedback t q ~levels =
     locked t (fun () ->
         match Hashtbl.find_opt t.table key with
         | None -> ()
+        | Some entry when entry.calibrated -> ()
         | Some entry ->
             if worst_factor entry.est_levels levels > t.replan_threshold then begin
               entry.consecutive_misest <- entry.consecutive_misest + 1;

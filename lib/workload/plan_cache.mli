@@ -25,7 +25,9 @@
     P009 value, 16x) on enough consecutive executions (default 2), the
     entry is poisoned: the next {!lookup} returns {!Replan} carrying
     {!Tcsq_core.Plan.calibration} factors, and the caller re-plans with
-    observed cardinalities substituted for the static estimates.
+    observed cardinalities substituted for the static estimates. The
+    re-planned entry keeps that calibration until the generation
+    changes: a shape re-plans once per generation, not every few runs.
 
     {b Invalidation.} The cache carries a graph-generation counter;
     {!bump_generation} (called on ingest) drops every entry — plans and
@@ -102,6 +104,10 @@ val store :
   est_levels:int array ->
   unit
 (** Insert (or replace, clearing any poison) the plan for [q]'s key.
+    Replacing a poisoned entry — the caller's re-plan after {!Replan} —
+    marks it calibrated: {!feedback} no longer poisons it, since its
+    estimates are the static ones already found wrong, so it keeps
+    serving until {!bump_generation} drops it.
     The plan is stored in canonical-variable space, so it serves every
     query in the key's equivalence class. Evicts the least-recently
     used entry when full; no-op at capacity 0. *)

@@ -12,48 +12,51 @@ let check_tai_equivalent ~msg reference candidate =
   let g = Tai.graph reference in
   let n_labels = Tgraph.Graph.n_labels g in
   let ids tsr = List.map Tgraph.Edge.id (Tsr.to_list tsr) in
+  let keys what a b =
+    Alcotest.(check (list int)) (msg ^ ": " ^ what) (Array.to_list a) (Array.to_list b)
+  in
+  (* the TSR's edges and the step function of its attached coverage *)
+  let tsr what get =
+    Alcotest.(check (list int)) (msg ^ ": " ^ what) (ids (get reference)) (ids (get candidate));
+    let tuples tai =
+      match Tsr.coverage (get tai) with
+      | None -> []
+      | Some c ->
+          Array.to_list
+            (Array.map
+               (fun { Temporal.Coverage.cs; ce; ec } -> (cs, ce, ec))
+               (Temporal.Coverage.tuples c))
+    in
+    Alcotest.(check (list (triple int int int)))
+      (msg ^ ": coverage of " ^ what)
+      (tuples reference) (tuples candidate)
+  in
+  Alcotest.(check int) (msg ^ ": size_words") (Tai.size_words reference) (Tai.size_words candidate);
+  Alcotest.(check int) (msg ^ ": eci_n_tuples") (Tai.eci_n_tuples reference)
+    (Tai.eci_n_tuples candidate);
+  keys "all_sources" (Tai.all_sources reference) (Tai.all_sources candidate);
+  keys "all_destinations" (Tai.all_destinations reference) (Tai.all_destinations candidate);
   for lbl = 0 to n_labels - 1 do
-    Alcotest.(check (list int))
-      (Printf.sprintf "%s: sources(%d)" msg lbl)
-      (Array.to_list (Tai.sources reference ~lbl))
-      (Array.to_list (Tai.sources candidate ~lbl));
-    Alcotest.(check (list int))
-      (Printf.sprintf "%s: destinations(%d)" msg lbl)
-      (Array.to_list (Tai.destinations reference ~lbl))
-      (Array.to_list (Tai.destinations candidate ~lbl));
+    keys (Printf.sprintf "sources(%d)" lbl) (Tai.sources reference ~lbl)
+      (Tai.sources candidate ~lbl);
+    keys (Printf.sprintf "destinations(%d)" lbl) (Tai.destinations reference ~lbl)
+      (Tai.destinations candidate ~lbl);
     Array.iter
       (fun src ->
-        Alcotest.(check (list int))
-          (Printf.sprintf "%s: tsr_out(%d, %d)" msg lbl src)
-          (ids (Tai.tsr_out reference ~lbl ~src))
-          (ids (Tai.tsr_out candidate ~lbl ~src));
-        (* the attached coverage must describe the same step function *)
-        let tuples tai =
-          match Tsr.coverage (Tai.tsr_out tai ~lbl ~src) with
-          | None -> []
-          | Some c ->
-              Array.to_list
-                (Array.map
-                   (fun { Temporal.Coverage.cs; ce; ec } -> (cs, ce, ec))
-                   (Temporal.Coverage.tuples c))
-        in
-        Alcotest.(check (list (triple int int int)))
-          (Printf.sprintf "%s: coverage(%d, %d)" msg lbl src)
-          (tuples reference) (tuples candidate);
+        tsr (Printf.sprintf "tsr_out(%d, %d)" lbl src) (Tai.tsr_out ~lbl ~src);
+        keys (Printf.sprintf "dsts_of_src(%d, %d)" lbl src)
+          (Tai.dsts_of_src reference ~lbl ~src) (Tai.dsts_of_src candidate ~lbl ~src);
         Array.iter
           (fun dst ->
-            Alcotest.(check (list int))
-              (Printf.sprintf "%s: tsr_between(%d, %d, %d)" msg lbl src dst)
-              (ids (Tai.tsr_between reference ~lbl ~src ~dst))
-              (ids (Tai.tsr_between candidate ~lbl ~src ~dst)))
+            tsr (Printf.sprintf "tsr_between(%d, %d, %d)" lbl src dst)
+              (Tai.tsr_between ~lbl ~src ~dst))
           (Tai.dsts_of_src reference ~lbl ~src))
       (Tai.sources reference ~lbl);
     Array.iter
       (fun dst ->
-        Alcotest.(check (list int))
-          (Printf.sprintf "%s: tsr_in(%d, %d)" msg lbl dst)
-          (ids (Tai.tsr_in reference ~lbl ~dst))
-          (ids (Tai.tsr_in candidate ~lbl ~dst)))
+        tsr (Printf.sprintf "tsr_in(%d, %d)" lbl dst) (Tai.tsr_in ~lbl ~dst);
+        keys (Printf.sprintf "srcs_of_dst(%d, %d)" lbl dst)
+          (Tai.srcs_of_dst reference ~lbl ~dst) (Tai.srcs_of_dst candidate ~lbl ~dst))
       (Tai.destinations reference ~lbl)
   done
 
@@ -145,27 +148,44 @@ let test_incremental_threshold () =
   Alcotest.(check int) "auto-merged" 0 (Incremental.pending inc);
   Alcotest.(check int) "ids dense" 4 (Incremental.n_edges inc)
 
+(* Several merges in a row, each checked against a from-scratch build,
+   structurally and by the query results over it. The base graph leaves the last label unused and its vertices below 6;
+   batches draw start times at random (out of start order), vertices up
+   to 9 and every label, so they bring unseen vertices and a label with
+   no prior edges. The base may be empty. *)
 let prop_merge_equals_rebuild =
   QCheck.Test.make ~name:"Tai.merge = rebuild (query results)" ~count:40
-    QCheck.(pair (int_range 0 10_000) (int_range 1 30))
-    (fun (seed, n_extra) ->
-      let g =
-        Test_util.random_graph ~seed ~n_vertices:5 ~n_edges:40 ~n_labels:3
-          ~domain:30 ~max_len:8 ()
-      in
-      let tai = Tai.build g in
+    QCheck.(quad (int_range 0 10_000) (int_range 0 40) (int_range 1 5) bool)
+    (fun (seed, n_base, n_batches, with_eci) ->
       let rng = Random.State.make [| seed; 77 |] in
-      let g' =
-        Tgraph.Graph.append g
-          (random_extra rng n_extra ~n_vertices:5 ~n_labels:3 ~domain:30)
+      let labels = Tgraph.Label.of_names [| "l0"; "l1"; "l2"; "l3" |] in
+      let g =
+        Tgraph.Graph.of_edge_list ~labels
+          (random_extra rng n_base ~n_vertices:6 ~n_labels:3 ~domain:30)
       in
-      let merged = Tai.merge tai g' in
-      List.for_all
-        (fun q ->
-          Match_result.Result_set.equal
-            (Match_result.Result_set.of_list (Tsrjoin.evaluate (Tai.build g') q))
-            (Match_result.Result_set.of_list (Tsrjoin.evaluate merged q)))
-        (Test_util.query_pool ~n_labels:3 ~window:(window 5 22)))
+      let tai = ref (Tai.build ~with_eci g) and g = ref g in
+      let queries = Test_util.query_pool ~n_labels:4 ~window:(window 5 22) in
+      let ok = ref true in
+      for step = 1 to n_batches do
+        g :=
+          Tgraph.Graph.append !g
+            (random_extra rng (1 + Random.State.int rng 12) ~n_vertices:10 ~n_labels:4
+               ~domain:30);
+        tai := Tai.merge !tai !g;
+        let rebuilt = Tai.build ~with_eci !g in
+        check_tai_equivalent
+          ~msg:(Printf.sprintf "seed %d step %d" seed step)
+          rebuilt !tai;
+        ok :=
+          !ok
+          && List.for_all
+               (fun q ->
+                 Match_result.Result_set.equal
+                   (Match_result.Result_set.of_list (Tsrjoin.evaluate rebuilt q))
+                   (Match_result.Result_set.of_list (Tsrjoin.evaluate !tai q)))
+               queries
+      done;
+      !ok)
 
 (* the streaming ingest path end to end: adopt a prefix TAI with
    [of_tai] under a random merge threshold, feed random batch splits,

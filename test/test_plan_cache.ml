@@ -141,6 +141,49 @@ let test_replan_flow () =
   Alcotest.(check bool) "poison cleared by store + accurate run" true
     (is_hit (Plan_cache.lookup cache q))
 
+(* a re-planned entry keeps its calibration: its stored estimates are
+   the static ones, so the same misestimation must not poison it again *)
+let test_replan_once_then_hits () =
+  let cache = Plan_cache.create ~replan_threshold:16.0 ~replan_after:2 () in
+  let q = q_label 0 in
+  store_q cache q;
+  Plan_cache.feedback cache q ~levels:[| 1000 |];
+  Plan_cache.feedback cache q ~levels:[| 1000 |];
+  Alcotest.(check bool) "misestimated shape re-plans" true
+    (is_replan (Plan_cache.lookup cache q));
+  store_q cache q;
+  for run = 1 to 6 do
+    Plan_cache.feedback cache q ~levels:[| 1000 |];
+    Alcotest.(check bool) (Printf.sprintf "run %d after the re-plan hits" run) true
+      (is_hit (Plan_cache.lookup cache q))
+  done;
+  Alcotest.(check int) "one re-plan" 1 (Plan_cache.counters cache).Plan_cache.replans;
+  (* a new generation drops the calibrated entry with everything else *)
+  Plan_cache.bump_generation cache;
+  Alcotest.(check bool) "gone after the generation bump" true
+    (is_miss (Plan_cache.lookup cache q))
+
+(* the same through the engine: with a threshold of 1 and one strike, any
+   estimate off by a single tuple poisons, so the query re-plans on its
+   second run and is served from the cache on every run after that *)
+let test_engine_replans_once () =
+  let e = Lazy.force engine in
+  let cache = Plan_cache.create ~replan_threshold:1.0 ~replan_after:1 () in
+  let q =
+    Query.make ~n_vars:3 ~edges:[ (0, 0, 1); (1, 1, 2) ] ~window
+  in
+  let sources =
+    List.init 8 (fun _ ->
+        let src = ref None in
+        ignore
+          (Workload.Engine.evaluate ~plan_cache:cache ~plan_source:src e
+             Workload.Engine.Tsrjoin q);
+        Option.get !src)
+  in
+  Alcotest.(check (list string)) "fresh, re-planned, then cached"
+    ("fresh" :: "replanned" :: List.init 6 (fun _ -> "cached"))
+    (List.map Plan_cache.source_name sources)
+
 (* ---- concurrent counter exactness ---- *)
 
 let test_concurrent_counters () =
@@ -247,6 +290,10 @@ let () =
           Alcotest.test_case "window-length buckets" `Quick
             test_window_buckets;
           Alcotest.test_case "poisoning and replan" `Quick test_replan_flow;
+          Alcotest.test_case "re-plans once, then hits" `Quick
+            test_replan_once_then_hits;
+          Alcotest.test_case "engine re-plans a shape once" `Quick
+            test_engine_replans_once;
           Alcotest.test_case "concurrent counter exactness" `Quick
             test_concurrent_counters;
           Alcotest.test_case "invalidation after ingest" `Quick

@@ -242,7 +242,19 @@ let test_coverage_chain () =
   Alcotest.(check int) "gap falls forward" 10 tup.Coverage.cs;
   Alcotest.(check (option Alcotest.reject)) "past the end"
     None
-    (Coverage.get_coverage_tuple c 13)
+    (Coverage.get_coverage_tuple c 13);
+  (* the accessor form gives the same tuples and checks start order *)
+  let spans = [| (0, 5); (3, 8); (10, 12) |] in
+  let of_run spans =
+    Coverage.of_run (Array.length spans)
+      ~ts:(fun i -> fst spans.(i))
+      ~te:(fun i -> snd spans.(i))
+  in
+  Alcotest.(check bool) "of_run = build" true
+    (Coverage.tuples (of_run spans) = Coverage.tuples c);
+  Alcotest.check_raises "of_run rejects a decreasing start"
+    (Invalid_argument "Coverage.of_run: not in start order") (fun () ->
+      ignore (of_run [| (3, 8); (0, 5) |]))
 
 let test_coverage_merges_runs () =
   (* Two intervals starting together: single earliest concurrent run. *)
@@ -259,13 +271,17 @@ let arb_items =
   QCheck.make gen_items ~print:(fun l ->
       String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "[%d,%d]" a b) l))
 
+let sorted_items spans =
+  let items =
+    Array.of_list (List.mapi (fun i (a, b) -> Span_item.make i (Interval.make a b)) spans)
+  in
+  Span_item.sort_by_start items;
+  items
+
 let prop_coverage_matches_brute =
   QCheck.Test.make ~name:"coverage = brute-force earliest concurrent"
     ~count:300 arb_items (fun spans ->
-      let items =
-        Array.of_list (List.mapi (fun i (a, b) -> Span_item.make i (Interval.make a b)) spans)
-      in
-      Span_item.sort_by_start items;
+      let items = sorted_items spans in
       let c = Coverage.build items in
       let ok = ref true in
       for t = -2 to 55 do
@@ -276,10 +292,7 @@ let prop_coverage_matches_brute =
 let prop_coverage_tuples_sorted_disjoint =
   QCheck.Test.make ~name:"coverage tuples sorted, disjoint, ec <= cs"
     ~count:300 arb_items (fun spans ->
-      let items =
-        Array.of_list (List.mapi (fun i (a, b) -> Span_item.make i (Interval.make a b)) spans)
-      in
-      Span_item.sort_by_start items;
+      let items = sorted_items spans in
       let tuples = Coverage.tuples (Coverage.build items) in
       let ok = ref true in
       Array.iteri
@@ -288,6 +301,43 @@ let prop_coverage_tuples_sorted_disjoint =
           if i > 0 && tuples.(i - 1).Coverage.ce >= cs then ok := false)
         tuples;
       !ok)
+
+let prop_coverage_runs_maximal =
+  QCheck.Test.make ~name:"coverage never splits a contiguous equal-ec run"
+    ~count:300 arb_items (fun spans ->
+      let tuples = Coverage.tuples (Coverage.build (sorted_items spans)) in
+      let ok = ref true in
+      for i = 1 to Array.length tuples - 1 do
+        let prev = tuples.(i - 1) and cur = tuples.(i) in
+        if prev.Coverage.ec = cur.Coverage.ec && prev.Coverage.ce + 1 = cur.Coverage.cs
+        then ok := false
+      done;
+      !ok)
+
+(* the tuple array the brute-force step function yields: maximal runs of
+   consecutive timestamps with the same defined eC *)
+let brute_tuples items ~lo ~hi =
+  let out = ref [] in
+  for t = lo to hi do
+    match (brute_ec items t, !out) with
+    | None, _ -> ()
+    | Some ec, (cs, ce, ec') :: rest when ec = ec' && ce + 1 = t ->
+        out := (cs, t, ec) :: rest
+    | Some ec, acc -> out := (t, t, ec) :: acc
+  done;
+  List.rev !out
+
+let prop_coverage_tuples_match_brute =
+  QCheck.Test.make ~name:"coverage tuples = merged brute-force step function"
+    ~count:300 arb_items (fun spans ->
+      let items = sorted_items spans in
+      let tuples =
+        Array.to_list
+          (Array.map
+             (fun { Coverage.cs; ce; ec } -> (cs, ce, ec))
+             (Coverage.tuples (Coverage.build items)))
+      in
+      tuples = brute_tuples items ~lo:(-2) ~hi:55)
 
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -333,5 +383,10 @@ let () =
       qsuite "vec-properties" [ prop_vec_insert_sorted ];
       qsuite "heap-properties" [ prop_heap_sorts ];
       qsuite "coverage-properties"
-        [ prop_coverage_matches_brute; prop_coverage_tuples_sorted_disjoint ];
+        [
+          prop_coverage_matches_brute;
+          prop_coverage_tuples_sorted_disjoint;
+          prop_coverage_runs_maximal;
+          prop_coverage_tuples_match_brute;
+        ];
     ]

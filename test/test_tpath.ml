@@ -251,10 +251,13 @@ let prop_latest_departure_consistent =
         Test_util.random_graph ~seed ~n_vertices:6 ~n_edges:25 ~n_labels:1
           ~domain:25 ~max_len:6 ()
       in
-      let dst = seed mod 6 in
+      (* a vertex id no edge uses is not in the graph: 25 random edges
+         can leave the highest of the 6 ids unused *)
+      let n = Tgraph.Graph.n_vertices g in
+      let dst = seed mod n in
       let departs = Reachability.latest_departure g ~dst in
       let ok = ref true in
-      for v = 0 to 5 do
+      for v = 0 to n - 1 do
         if v <> dst && departs.(v) > min_int then begin
           (* departing at departs.(v) reaches dst *)
           let r =
