@@ -697,13 +697,15 @@ let run_multiwindow () =
 (* Domain-scaling bench: the full engine path (Runner -> Engine ->
    Exec.Parallel) at 1/2/4/... domains, per workload; every sweep point
    lands in the --json output tagged experiment="parallel" with raw
-   numeric domains/speedup_vs_1 fields, so future PRs can regress-check
-   parallel efficiency, not just latency. *)
+   numeric cores/domains fields, plus speedup_vs_1 where the point has
+   a core per domain (past that, domains time-share cores and the ratio
+   measures oversubscription, not scaling). *)
 let run_parallel_bench () =
+  let cores = Domain.recommended_domain_count () in
   section
     (Printf.sprintf
        "Parallel TSRJoin: domain scaling (Yellow, %d core(s) available)"
-       (Domain.recommended_domain_count ()));
+       cores);
   let engine = engine_of Tgraph.Dataset.Yellow in
   let sweep =
     (* powers of two up to --domains (default 8) *)
@@ -732,15 +734,18 @@ let run_parallel_bench () =
           json_record ~obs ~experiment:"parallel" ~dataset:"yellow"
             ~pattern:(Pattern.to_string shape)
             ~raw:
-              [
-                ("domains", string_of_int domains);
-                ("speedup_vs_1", Printf.sprintf "%.3f" speedup);
-              ]
+              ([
+                 ("cores", string_of_int cores);
+                 ("domains", string_of_int domains);
+               ]
+              @
+              if domains > cores then []
+              else [ ("speedup_vs_1", Printf.sprintf "%.3f" speedup) ])
             meas;
           Format.fprintf fmt "%-8d %12.2f %9.2fx@." domains ms speedup)
         sweep)
     [ (Pattern.Star 4, 0.2, 171); (Pattern.Chain 4, 0.2, 171) ];
-  if Domain.recommended_domain_count () <= 1 then
+  if cores <= 1 then
     Format.fprintf fmt
       "@.(single-core host: the sweep measures scheduling overhead only — \
        no real speedup is physically possible here; on multi-core \

@@ -531,8 +531,11 @@ let compare_cmd =
         in
         let t0 = Unix.gettimeofday () in
         let outcome =
-          match Workload.Engine.count_ext ~stats engine m q with
-          | n -> string_of_int n
+          let n = ref 0 in
+          match
+            Workload.Engine.run_ext ~stats engine m q ~emit:(fun _ -> incr n)
+          with
+          | () -> string_of_int !n
           | exception Semantics.Run_stats.Limit_exceeded _ -> "budget!"
         in
         Format.printf "%-8s %10s %10.1f %14d %12d@."

@@ -278,9 +278,3 @@ let evaluate ?pool ?domains ?chunk ?stats ?(obs = Obs.Sink.null) ?config ?plan
       !done_chunks
       |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
       |> List.concat_map snd
-
-let count ?pool ?domains ?chunk ?stats ?obs ?config ?plan ?cost tai q =
-  let n = Atomic.make 0 in
-  run ?pool ?domains ?chunk ?stats ?obs ?config ?plan ?cost tai q
-    ~emit:(fun _ -> Atomic.incr n);
-  Atomic.get n

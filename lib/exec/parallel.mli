@@ -73,19 +73,6 @@ val evaluate :
     emission order}, reconstructed by sorting per-chunk result runs by
     their chunk's start index. *)
 
-val count :
-  ?pool:Pool.t ->
-  ?domains:int ->
-  ?chunk:int ->
-  ?stats:Semantics.Run_stats.t ->
-  ?obs:Obs.Sink.t ->
-  ?config:Tcsq_core.Tsrjoin.config ->
-  ?plan:Tcsq_core.Plan.t ->
-  ?cost:Tcsq_core.Plan.cost_model ->
-  Tcsq_core.Tai.t ->
-  Semantics.Query.t ->
-  int
-
 val shared_pool : at_least:int -> Pool.t
 (** The process-wide helper pool, grown (by drain-and-replace) to hold
     at least [at_least] workers. Callers without their own pool get

@@ -142,5 +142,3 @@ let evaluate_ext g eq =
     else core_results
   in
   Equery.select eq results
-
-let count_ext g eq = List.length (evaluate_ext g eq)

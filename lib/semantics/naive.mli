@@ -19,4 +19,3 @@ val evaluate_ext : Tgraph.Graph.t -> Equery.t -> Match_result.t list
     interval-set arithmetic used by the optimized decoration path —
     that independence is the point. *)
 
-val count_ext : Tgraph.Graph.t -> Equery.t -> int

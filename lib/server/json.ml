@@ -51,6 +51,10 @@ let to_string v =
 
 exception Bad of string
 
+(* arrays/objects nest by recursion on bytes read straight off a
+   socket; no protocol message comes near this depth *)
+let max_depth = 512
+
 let parse input =
   let n = String.length input in
   let pos = ref 0 in
@@ -181,7 +185,7 @@ let parse input =
         | Some f -> Float f
         | None -> fail "at %d: bad number %S" start text)
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "at %d: unexpected end of input" !pos
@@ -190,6 +194,8 @@ let parse input =
     | Some 'f' -> literal "false" (Bool false)
     | Some 'n' -> literal "null" Null
     | Some ('-' | '0' .. '9') -> parse_number ()
+    | Some ('[' | '{') when depth >= max_depth ->
+        fail "at %d: nesting deeper than %d" !pos max_depth
     | Some '[' ->
         advance ();
         skip_ws ();
@@ -198,11 +204,11 @@ let parse input =
           List []
         end
         else begin
-          let items = ref [ parse_value () ] in
+          let items = ref [ parse_value (depth + 1) ] in
           skip_ws ();
           while peek () = Some ',' do
             advance ();
-            items := parse_value () :: !items;
+            items := parse_value (depth + 1) :: !items;
             skip_ws ()
           done;
           expect ']';
@@ -221,7 +227,7 @@ let parse input =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             (k, v)
           in
           let fields = ref [ field () ] in
@@ -237,7 +243,7 @@ let parse input =
     | Some c -> fail "at %d: unexpected character %C" !pos c
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "at %d: trailing input" !pos;
     v

@@ -69,10 +69,3 @@ let pop_exn h =
 
 let pop h = if h.size = 0 then None else Some (pop_exn h)
 let clear h = h.size <- 0
-
-let rec drain_while h p =
-  match peek h with
-  | Some x when p x ->
-      ignore (pop_exn h);
-      drain_while h p
-  | Some _ | None -> ()

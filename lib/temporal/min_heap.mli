@@ -26,5 +26,3 @@ val pop_exn : 'a t -> 'a
 
 val clear : 'a t -> unit
 
-val drain_while : 'a t -> ('a -> bool) -> unit
-(** [drain_while h p] pops elements while the minimum satisfies [p]. *)

@@ -85,8 +85,6 @@ let prepare_with_tai graph tai =
 
 let graph t = t.graph
 let tai t = t.tai
-let adjacency t = slot_force t.adjacency
-let sti_index t = slot_force t.sti_index
 
 (* plan invariant analysis guards the hot path: a planner bug surfaces
    as a diagnostic here instead of as wrong answers *)
@@ -242,56 +240,6 @@ let count ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache ?plan_source
     ~emit:(fun _ -> incr n);
   !n
 
-(* ---- statically checked execution ---- *)
-
-let analyze t method_ q =
-  let ds = Analysis.Query_check.check ~env:t.qenv q in
-  if Analysis.Diagnostic.has_errors ds then ds
-  else
-    let ds = ds @ (Analysis.Bound.analyze ~env:t.qenv q).Analysis.Bound.diagnostics in
-    match method_ with
-    | Tsrjoin ->
-        ds
-        @ Analysis.Plan_check.check (Tcsq_core.Plan.build ~cost:t.cost t.tai q)
-    | Binary | Hybrid | Time -> ds
-
-let tighten t q = Analysis.Bound.tighten ~env:t.qenv q
-
-let run_checked ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache
-    ?plan_source t method_ q ~emit =
-  let ds = analyze t method_ q in
-  if Analysis.Diagnostic.has_errors ds then Error ds
-  else if Analysis.Diagnostic.proves_empty ds then Ok ds
-  else begin
-    (* result-preserving by Bound's window-tightening theorem — the
-       conformance window-tightening relation holds every engine to it *)
-    run ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache ?plan_source t
-      method_ (tighten t q) ~emit;
-    Ok ds
-  end
-
-let evaluate_checked ?stats ?tsrjoin_config ?pool ?domains ?plan_cache
-    ?plan_source t method_ q =
-  let ds = analyze t method_ q in
-  if Analysis.Diagnostic.has_errors ds then Error ds
-  else if Analysis.Diagnostic.proves_empty ds then Ok ([], ds)
-  else
-    Ok
-      ( evaluate ?stats ?tsrjoin_config ?pool ?domains ?plan_cache
-          ?plan_source t method_ (tighten t q),
-        ds )
-
-let count_checked ?stats ?tsrjoin_config ?pool ?domains ?plan_cache
-    ?plan_source t method_ q =
-  let n = ref 0 in
-  match
-    run_checked ?stats ?tsrjoin_config ?pool ?domains ?plan_cache ?plan_source
-      t method_ q
-      ~emit:(fun _ -> incr n)
-  with
-  | Ok ds -> Ok (!n, ds)
-  | Error ds -> Error ds
-
 (* ---- extended queries ---- *)
 
 (* Allen constraints ride into TSRJoin's config so the engine prunes
@@ -360,47 +308,6 @@ let run_ext ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache
           ?plan_source t method_ (Semantics.Equery.core eq) ~emit:(fun m ->
             List.iter emit (Semantics.Equery.decorate p m))
       end
-
-let count_ext ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache
-    ?plan_source t method_ eq =
-  List.length
-    (evaluate_ext ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache
-       ?plan_source t method_ eq)
-
-module Match_gen = Temporal.Push_pull.Make (struct
-  type t = Semantics.Match_result.t
-end)
-
-let volcano ?tsrjoin_config t method_ q =
-  let next_match =
-    Match_gen.to_pull (fun emit -> run ?tsrjoin_config t method_ q ~emit)
-  in
-  let tuple_of_match (m : Semantics.Match_result.t) =
-    let tup = Relops.Tuple.initial q in
-    let open Semantics in
-    Array.iteri
-      (fun i id ->
-        let qe = Query.edge q i in
-        let e = Tgraph.Graph.edge t.graph id in
-        tup.Relops.Tuple.edges.(i) <- id;
-        tup.Relops.Tuple.binds.(qe.Query.src_var) <- Tgraph.Edge.src e;
-        tup.Relops.Tuple.binds.(qe.Query.dst_var) <- Tgraph.Edge.dst e)
-      m.Match_result.edges;
-    { tup with Relops.Tuple.life = m.Match_result.life }
-  in
-  Relops.Volcano.of_producer (fun () ->
-      let acc = Temporal.Vec.create ~capacity:Relops.Volcano.batch_size () in
-      let rec fill () =
-        if Temporal.Vec.length acc >= Relops.Volcano.batch_size then ()
-        else
-          match next_match () with
-          | Some m ->
-              Temporal.Vec.push acc (tuple_of_match m);
-              fill ()
-          | None -> ()
-      in
-      fill ();
-      if Temporal.Vec.is_empty acc then None else Some (Temporal.Vec.to_array acc))
 
 let index_size_words t = function
   | Tsrjoin -> Tcsq_core.Tai.size_words t.tai

@@ -2,7 +2,11 @@
 
     Builds and owns all indexes so that the methods run against the same
     graph, and exposes the per-method storage/build-cost accounting of
-    Tables IV and V. *)
+    Tables IV and V. Core queries run through {!run}/{!evaluate}/{!count},
+    extended ones through the [_ext] entry points. Checked execution is
+    a flow the caller runs ({!analyze_ext}; reject on errors, skip a
+    provably empty query; {!tighten_ext}; {!run_ext}) so the server can
+    lint on the connection thread and execute on a pool worker. *)
 
 type method_ = Tsrjoin | Binary | Hybrid | Time
 
@@ -25,8 +29,6 @@ val prepare_with_tai : Tgraph.Graph.t -> Tcsq_core.Tai.t -> t
 
 val graph : t -> Tgraph.Graph.t
 val tai : t -> Tcsq_core.Tai.t
-val adjacency : t -> Triejoin.Adjacency.t
-val sti_index : t -> Relops.Sti_index.t
 
 val run :
   ?stats:Semantics.Run_stats.t ->
@@ -41,7 +43,9 @@ val run :
   Semantics.Query.t ->
   emit:(Semantics.Match_result.t -> unit) ->
   unit
-(** May raise {!Semantics.Run_stats.Limit_exceeded} under budgets. For
+(** The optional arguments mean the same on every executor below.
+
+    May raise {!Semantics.Run_stats.Limit_exceeded} under budgets. For
     {!Tsrjoin} the freshly built plan is passed through
     [Analysis.Plan_check] first; a planner bug raises
     [Invalid_argument] instead of executing an invalid plan.
@@ -71,68 +75,6 @@ val run :
     are identical with and without a cache — only speed changes.
     [plan_source] (when given) is set to where this query's plan came
     from. *)
-
-(** {2 Statically checked execution}
-
-    The [_checked] variants run the static analyzer before executing:
-    [Error]-level diagnostics reject the query without executing it
-    (the typed result carries them), and queries the analyzer proves
-    empty (e.g. a window disjoint from the graph's time span) return
-    their trivial result without touching the indexes. The [Ok]
-    diagnostics list carries any surviving warnings/hints. *)
-
-val analyze :
-  t -> method_ -> Semantics.Query.t -> Analysis.Diagnostic.t list
-(** Query semantic analysis against this engine's graph
-    ({!Analysis.Query_check} plus {!Analysis.Bound}'s constraint
-    propagation); for {!Tsrjoin} also plan invariant analysis of the
-    cost-model plan (skipped when the query itself has errors). *)
-
-val tighten : t -> Semantics.Query.t -> Semantics.Query.t
-(** {!Analysis.Bound.tighten} against this engine's graph: the query
-    with its window shrunk to the propagated effective window, the
-    identity when nothing tightens. Result-preserving, so the [_checked]
-    runners and the server execute the tightened query. *)
-
-val run_checked :
-  ?stats:Semantics.Run_stats.t ->
-  ?obs:Obs.Sink.t ->
-  ?tsrjoin_config:Tcsq_core.Tsrjoin.config ->
-  ?pool:Exec.Pool.t ->
-  ?domains:int ->
-  ?plan_cache:Plan_cache.t ->
-  ?plan_source:Plan_cache.source option ref ->
-  t ->
-  method_ ->
-  Semantics.Query.t ->
-  emit:(Semantics.Match_result.t -> unit) ->
-  (Analysis.Diagnostic.t list, Analysis.Diagnostic.t list) result
-
-val evaluate_checked :
-  ?stats:Semantics.Run_stats.t ->
-  ?tsrjoin_config:Tcsq_core.Tsrjoin.config ->
-  ?pool:Exec.Pool.t ->
-  ?domains:int ->
-  ?plan_cache:Plan_cache.t ->
-  ?plan_source:Plan_cache.source option ref ->
-  t ->
-  method_ ->
-  Semantics.Query.t ->
-  ( Semantics.Match_result.t list * Analysis.Diagnostic.t list,
-    Analysis.Diagnostic.t list )
-  result
-
-val count_checked :
-  ?stats:Semantics.Run_stats.t ->
-  ?tsrjoin_config:Tcsq_core.Tsrjoin.config ->
-  ?pool:Exec.Pool.t ->
-  ?domains:int ->
-  ?plan_cache:Plan_cache.t ->
-  ?plan_source:Plan_cache.source option ref ->
-  t ->
-  method_ ->
-  Semantics.Query.t ->
-  (int * Analysis.Diagnostic.t list, Analysis.Diagnostic.t list) result
 
 val evaluate :
   ?stats:Semantics.Run_stats.t ->
@@ -170,18 +112,24 @@ val count :
     and the aggregate selection applied. For {!Tsrjoin} the Allen
     constraints are additionally pushed into the engine's config, so
     misclassified pairs are pruned inside the join tree; the
-    post-filter re-check is idempotent. A plain query takes exactly the
-    non-ext path. *)
+    post-filter re-check is idempotent. A plain query
+    ({!Semantics.Equery.plain}) takes exactly the non-ext path. *)
 
 val analyze_ext :
   t -> method_ -> Semantics.Equery.t -> Analysis.Diagnostic.t list
-(** {!analyze} over the core, plus {!Analysis.Ext_check} clause
-    diagnostics, with the Allen constraints fed into
-    {!Analysis.Bound}'s propagation network. *)
+(** Static analysis against this engine's graph:
+    {!Analysis.Query_check} on the core, {!Analysis.Ext_check} clause
+    diagnostics (none for a plain query), and {!Analysis.Bound}'s
+    constraint propagation with the Allen constraints fed in; for
+    {!Tsrjoin} also plan invariant analysis of the cost-model plan.
+    Stops after {!Analysis.Query_check} when the core has errors. *)
 
 val tighten_ext : t -> Semantics.Equery.t -> Semantics.Equery.t
-(** Allen-aware window tightening; result-preserving under the piece
-    semantics (clause matching never reads the window). *)
+(** {!Analysis.Bound.tighten} against this engine's graph, Allen-aware:
+    the query with its window shrunk to the propagated effective
+    window, the identity when nothing tightens. Result-preserving under
+    the piece semantics (clause matching never reads the window), so
+    checked execution runs the tightened query. *)
 
 val run_ext :
   ?stats:Semantics.Run_stats.t ->
@@ -211,31 +159,6 @@ val evaluate_ext :
   method_ ->
   Semantics.Equery.t ->
   Semantics.Match_result.t list
-
-val count_ext :
-  ?stats:Semantics.Run_stats.t ->
-  ?obs:Obs.Sink.t ->
-  ?tsrjoin_config:Tcsq_core.Tsrjoin.config ->
-  ?pool:Exec.Pool.t ->
-  ?domains:int ->
-  ?plan_cache:Plan_cache.t ->
-  ?plan_source:Plan_cache.source option ref ->
-  t ->
-  method_ ->
-  Semantics.Equery.t ->
-  int
-(** Number of result pieces (what a [COUNT] query reports). *)
-
-val volcano :
-  ?tsrjoin_config:Tcsq_core.Tsrjoin.config ->
-  t ->
-  method_ ->
-  Semantics.Query.t ->
-  Relops.Volcano.t
-(** The query as a pull operator over 1024-tuple batches (the paper's
-    vectorized execution model), built on an effect-handler inversion of
-    the engine's push interface. Complete matches arrive as complete
-    tuples (all edges and variables bound). Single-consumer. *)
 
 val index_size_words : t -> method_ -> int
 (** Table IV: TSRJOIN = TAI (three sorted edge copies, tries, ECIs);

@@ -462,12 +462,31 @@ let test_corrupted_pivot_order_rejected () =
 
 (* ---------- engine checked execution ---------- *)
 
+(* the checked flow the server runs: lint, reject on errors, execute
+   nothing when the query is provably empty, else run it tightened *)
+let run_served engine m query ~emit =
+  let eq = Equery.plain query in
+  let ds = Workload.Engine.analyze_ext engine m eq in
+  if Diagnostic.has_errors ds then Error ds
+  else begin
+    if not (Diagnostic.proves_empty ds) then
+      Workload.Engine.run_ext engine m
+        (Workload.Engine.tighten_ext engine eq)
+        ~emit;
+    Ok ds
+  end
+
+let count_served engine m query =
+  let n = ref 0 in
+  run_served engine m query ~emit:(fun _ -> incr n)
+  |> Result.map (fun ds -> (!n, ds))
+
 let test_engine_rejects_errors () =
   let engine = Workload.Engine.prepare (small_graph ()) in
   let bad = q [ (7, 0, 1) ] in
   Array.iter
     (fun m ->
-      match Workload.Engine.count_checked engine m bad with
+      match count_served engine m bad with
       | Ok _ ->
           Alcotest.failf "%s executed an error-level query"
             (Workload.Engine.method_name m)
@@ -480,7 +499,7 @@ let test_engine_short_circuits_empty () =
   let g = small_graph () in
   let engine = Workload.Engine.prepare g in
   let futile = q ~w:(window 500 600) [ (0, 0, 1) ] in
-  match Workload.Engine.count_checked engine Workload.Engine.Tsrjoin futile with
+  match count_served engine Workload.Engine.Tsrjoin futile with
   | Error ds ->
       Alcotest.failf "rejected a warning-level query: %s"
         (String.concat "; " (codes ds))
@@ -493,13 +512,15 @@ let test_engine_runs_clean_queries () =
   let g = small_graph () in
   let engine = Workload.Engine.prepare g in
   let query = q [ (0, 0, 1); (1, 1, 2) ] in
+  let ms = ref [] in
   match
-    Workload.Engine.evaluate_checked engine Workload.Engine.Tsrjoin query
+    run_served engine Workload.Engine.Tsrjoin query ~emit:(fun m ->
+        ms := m :: !ms)
   with
   | Error ds -> Alcotest.failf "rejected: %s" (String.concat "; " (codes ds))
-  | Ok (ms, _) ->
+  | Ok _ ->
       Test_util.check_same_results ~msg:"checked = naive"
-        (Naive.evaluate g query) ms
+        (Naive.evaluate g query) !ms
 
 (* ---------- rendering ---------- *)
 
@@ -551,9 +572,7 @@ let prop_clean_queries_run_and_empty_verdicts_hold =
             QCheck.Test.fail_reportf
               "proves-empty verdict vs %d naive matches" naive;
           (* clean or warning-level queries must execute, and agree *)
-          match
-            Workload.Engine.count_checked engine Workload.Engine.Tsrjoin query
-          with
+          match count_served engine Workload.Engine.Tsrjoin query with
           | Ok (n, _) -> n = naive
           | Error ds ->
               QCheck.Test.fail_reportf "rejected: %s"
@@ -581,13 +600,14 @@ let prop_query_gen_output_is_analyzer_clean =
       List.for_all
         (fun info ->
           let query = info.Workload.Query_gen.query in
-          let ds = Workload.Engine.analyze engine Workload.Engine.Tsrjoin query in
+          let ds =
+            Workload.Engine.analyze_ext engine Workload.Engine.Tsrjoin
+              (Equery.plain query)
+          in
           (not (Diagnostic.has_errors ds))
           && (not (Diagnostic.proves_empty ds))
           &&
-          match
-            Workload.Engine.count_checked engine Workload.Engine.Tsrjoin query
-          with
+          match count_served engine Workload.Engine.Tsrjoin query with
           | Ok (n, _) -> n = info.Workload.Query_gen.result_size
           | Error _ -> false)
         (Workload.Query_gen.generate engine cfg))

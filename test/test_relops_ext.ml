@@ -163,15 +163,32 @@ let test_aggregates () =
   let base = Naive.evaluate_ext g (eok g "MATCH (x)-[a]->(y) IN [0, 9]") in
   let engine = Workload.Engine.prepare g in
   let cq = eok g "MATCH (x)-[a]->(y) IN [0, 9] COUNT" in
-  Alcotest.(check int) "naive count" (List.length base) (Naive.count_ext g cq);
-  Array.iter
-    (fun m ->
-      Alcotest.(check int)
-        (Workload.Engine.method_name m ^ " count")
-        (List.length base)
-        (Workload.Engine.count_ext engine m cq))
-    Workload.Engine.all_methods;
+  Alcotest.(check int) "naive count" (List.length base)
+    (List.length (Naive.evaluate_ext g cq));
   let tq = eok g "MATCH (x)-[a]->(y) IN [0, 9] TOP 1" in
+  (* a COUNT query reports the number of streamed pieces: for every
+     shape (plain, TOP k, decorated) that equals the collected result *)
+  List.iter
+    (fun (name, eq, expected) ->
+      Array.iter
+        (fun m ->
+          let n = ref 0 in
+          Workload.Engine.run_ext engine m eq ~emit:(fun _ -> incr n);
+          let what = Workload.Engine.method_name m ^ " " ^ name in
+          Alcotest.(check int) (what ^ " count") expected !n;
+          Alcotest.(check int) (what ^ " = evaluate_ext") !n
+            (List.length (Workload.Engine.evaluate_ext engine m eq)))
+        Workload.Engine.all_methods)
+    [
+      ("COUNT", cq, List.length base);
+      ("TOP 1", tq, 1);
+      ( "NOT",
+        eok g "MATCH (x)-[a]->(y) NOT (y)-[b]->() IN [0, 9] COUNT",
+        3 );
+      ( "EXISTS TOP 1",
+        eok g "MATCH (x)-[a]->(y) EXISTS (y)-[b]->() IN [0, 9] TOP 1",
+        1 );
+    ];
   let expected = Analytics.top_durable ~k:1 base in
   Alcotest.(check int) "top-1 selects one match" 1 (List.length expected);
   check_rs "naive TOP 1 = durability selection" expected

@@ -456,6 +456,34 @@ let test_error_paths () =
             "rejections counted" 1
             (metrics_int snapshot [ "requests"; "rejected" ])))
 
+(* the JSON parser recurses per [ / {: a hostile line must be refused
+   with one parse error, not exhaust the connection thread's stack *)
+let test_deep_nesting () =
+  let nested d = String.make d '[' ^ String.make d ']' in
+  Alcotest.(check bool) "nesting at the cap parses" true
+    (Result.is_ok (Json.parse (nested Json.max_depth)));
+  Alcotest.(check bool) "one level deeper is refused" true
+    (Result.is_error (Json.parse (nested (Json.max_depth + 1))));
+  let g =
+    Test_util.random_graph ~seed:12 ~n_vertices:4 ~n_edges:20 ~n_labels:2
+      ~domain:20 ~max_len:5 ()
+  in
+  with_server g (fun _srv _engine path ->
+      let client = Client.connect path in
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () ->
+          Client.send_raw client (String.make 100_000 '[');
+          (match Client.recv client with
+          | Error msg -> Alcotest.failf "deep-nesting response: %s" msg
+          | Ok r ->
+              Alcotest.(check string) "status" "error" r.Protocol.status;
+              Alcotest.(check (option string))
+                "kind" (Some "parse") r.Protocol.kind);
+          (* a second frame for the same line would answer this ping *)
+          Alcotest.(check bool) "ping after deep nesting" true
+            (Client.ping client)))
+
 (* ---- result limit ---- *)
 
 let test_match_limit () =
@@ -732,5 +760,8 @@ let () =
         [ Alcotest.test_case "shedding under load" `Quick test_admission_shedding ]
       );
       ( "protocol",
-        [ Alcotest.test_case "error paths" `Quick test_error_paths ] );
+        [
+          Alcotest.test_case "error paths" `Quick test_error_paths;
+          Alcotest.test_case "deep nesting refused" `Quick test_deep_nesting;
+        ] );
     ]

@@ -147,13 +147,6 @@ let test_heap_order () =
   drain ();
   Alcotest.(check (list int)) "ascending" [ 1; 2; 3; 5; 7; 8; 9 ] (List.rev !out)
 
-let test_heap_drain_while () =
-  let h = Min_heap.create ~cmp:Int.compare () in
-  List.iter (Min_heap.push h) [ 4; 1; 6; 2 ];
-  Min_heap.drain_while h (fun x -> x < 4);
-  Alcotest.(check (option int)) "min left" (Some 4) (Min_heap.peek h);
-  Alcotest.(check int) "length" 2 (Min_heap.length h)
-
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
     QCheck.(list int)
@@ -363,7 +356,6 @@ let () =
       ( "min_heap",
         [
           Alcotest.test_case "pop order" `Quick test_heap_order;
-          Alcotest.test_case "drain_while" `Quick test_heap_drain_while;
         ] );
       ( "relation",
         [
