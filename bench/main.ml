@@ -751,49 +751,6 @@ let run_parallel_bench () =
        no real speedup is physically possible here; on multi-core \
        machines expect near-linear scaling on skewed workloads)@."
 
-(* ---------- Interval-join algorithm comparison (related work §III-B) ---------- *)
-
-let run_interval_joins () =
-  section
-    "Interval joins: EBI sweep vs gFS vs LEBI vs bgFS (long vs short \
-     intervals)";
-  let mk_relation ~n ~domain ~mean_len ~seed =
-    let rng = Random.State.make [| seed |] in
-    let items =
-      Array.init n (fun i ->
-          let ts = Random.State.int rng domain in
-          let len = 1 + Random.State.int rng (2 * mean_len) in
-          Temporal.Span_item.make i
-            (Temporal.Interval.make ts (min (domain - 1) (ts + len - 1))))
-    in
-    Temporal.Span_item.sort_by_start items;
-    Temporal.Relation.of_sorted items
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let pairs = f () in
-    ((Unix.gettimeofday () -. t0) *. 1000.0, pairs)
-  in
-  Format.fprintf fmt "%-24s %10s %10s %10s %10s %12s@." "profile" "ebi-ms"
-    "gfs-ms" "lebi-ms" "bgfs-ms" "pairs";
-  List.iter
-    (fun (name, mean_len) ->
-      let l = mk_relation ~n:20_000 ~domain:100_000 ~mean_len ~seed:191 in
-      let r = mk_relation ~n:20_000 ~domain:100_000 ~mean_len ~seed:192 in
-      let ebi_ms, pairs = time (fun () -> Temporal.Sweep_join.count l r) in
-      let gfs_ms, p2 = time (fun () -> Temporal.Forward_scan.count l r) in
-      let lebi_ms, p3 = time (fun () -> Temporal.Lebi.count l r) in
-      let bgfs_ms, p4 = time (fun () -> Temporal.Bgfs.count l r) in
-      if not (pairs = p2 && p2 = p3 && p3 = p4) then
-        failwith "interval-join disagreement";
-      Format.fprintf fmt "%-24s %10.2f %10.2f %10.2f %10.2f %12d@." name
-        ebi_ms gfs_ms lebi_ms bgfs_ms pairs)
-    [
-      ("short (bike-like)", 40);
-      ("medium (stack-like)", 400);
-      ("long (caida-like)", 4_000);
-    ]
-
 (* ---------- Durable queries: push-down vs post-filter ---------- *)
 
 let run_durable () =
@@ -989,7 +946,6 @@ let experiments =
     ("multiwindow", run_multiwindow);
     ("parallel", run_parallel_bench);
     ("plancache", run_plancache);
-    ("interval_joins", run_interval_joins);
     ("durable", run_durable);
     ("bechamel", run_bechamel);
   ]

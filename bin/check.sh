@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full pre-merge check: build everything under the strict dev profile
 # (warnings are errors), run the test suite, lint every example
-# workload with the static analyzer, run the end-to-end smoke aliases
+# workload with the static analyzer, run every example program, run
+# the end-to-end smoke aliases
 # (query server, bench JSON export, multi-domain execution, explain
 # reports, conformance fuzzing, extended relational operators,
 # structured query log, plan cache, standing queries, the served-path
@@ -28,6 +29,7 @@ step() {
 step build          dune build
 step tests          dune runtest
 step lint           dune build @lint
+step examples       dune build @examples
 step server-smoke   dune build @server-smoke
 step bench-smoke    dune build @bench-smoke
 step parallel-smoke dune build @parallel-smoke

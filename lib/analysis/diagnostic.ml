@@ -62,15 +62,6 @@ let pp fmt d =
     (location_string d.location)
     d.message
 
-let pp_list fmt ds =
-  Format.pp_open_vbox fmt 0;
-  List.iteri
-    (fun i d ->
-      if i > 0 then Format.pp_print_cut fmt ();
-      pp fmt d)
-    ds;
-  Format.pp_close_box fmt ()
-
 let to_string d = Format.asprintf "%a" pp d
 
 let location_json = function

@@ -62,8 +62,6 @@ val exit_code : t list -> int
 val pp : Format.formatter -> t -> unit
 (** One line: [severity[code] at location: message]. *)
 
-val pp_list : Format.formatter -> t list -> unit
-
 val to_string : t -> string
 
 val to_json : t -> string

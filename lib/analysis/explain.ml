@@ -79,9 +79,6 @@ let analyze ?pivot_order target q =
   in
   { query = q; bound; query_diags; candidates }
 
-let diagnostics t =
-  t.query_diags @ List.concat_map (fun c -> c.plan_diags) t.candidates
-
 let label_string ~label_names lbl =
   if lbl = Query.any_label then "*"
   else if lbl >= 0 && lbl < Array.length label_names then label_names.(lbl)

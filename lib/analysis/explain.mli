@@ -55,9 +55,6 @@ val analyze : ?pivot_order:int list -> Lint.target -> Semantics.Query.t -> t
     what propagation already proved. Never raises on planner-invalid
     candidates — their diagnostics ride in [plan_diags]. *)
 
-val diagnostics : t -> Diagnostic.t list
-(** Everything, query diagnostics first, for exit-code decisions. *)
-
 val misestimation_threshold : float
 (** 16.0: a level whose estimated and measured intermediate
     cardinalities differ by more than this factor (either direction) is

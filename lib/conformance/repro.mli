@@ -36,7 +36,6 @@ type t = {
   case : Case.t;
 }
 
-val to_string : t -> string
 val of_string : string -> (t, string) result
 
 val save : t -> string -> unit

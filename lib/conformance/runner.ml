@@ -12,8 +12,6 @@ type ctx = {
 }
 
 let ctx g = { g; engine = None; server = None; plan_cache = None }
-let graph c = c.g
-
 let engine c =
   match c.engine with
   | Some e -> e

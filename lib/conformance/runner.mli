@@ -10,7 +10,6 @@
 type ctx
 
 val ctx : Tgraph.Graph.t -> ctx
-val graph : ctx -> Tgraph.Graph.t
 
 val engine : ctx -> Workload.Engine.t
 (** Lazily [Workload.Engine.prepare]d, then memoized. *)

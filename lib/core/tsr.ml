@@ -57,12 +57,3 @@ let get_coverage_tuple tsr t =
   match tsr.coverage with
   | None -> None
   | Some c -> Temporal.Coverage.get_coverage_tuple c t
-
-let to_relation tsr =
-  let items = Array.init (length tsr) (fun i -> Edge.to_span (get tsr i)) in
-  Temporal.Relation.of_sorted items
-
-let pp fmt tsr =
-  Format.fprintf fmt "@[<hov 1>tsr[";
-  iter (fun e -> Format.fprintf fmt "%a@ " Edge.pp e) tsr;
-  Format.fprintf fmt "]@]"

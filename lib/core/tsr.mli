@@ -39,9 +39,3 @@ val upper_bound_start : t -> int -> int
 val get_coverage_tuple : t -> int -> Temporal.Coverage.tuple option
 (** The paper's [getCoverageTuple(R, t)]. [None] when no coverage is
     attached or the relation dies out before [t]. *)
-
-val to_relation : t -> Temporal.Relation.t
-(** The TSR as a payload relation (edge ids), for interoperability with
-    the generic interval-join algorithms. *)
-
-val pp : Format.formatter -> t -> unit

@@ -42,7 +42,7 @@ let root_key_sets tai pivot (step_edges : Query.edge array) =
          in
          as_src @ as_dst)
 
-let run ?stats ?(obs = Obs.Sink.null) ?per_step ?(roots = All_roots)
+let run ?stats ?(obs = Obs.Sink.null) ?(roots = All_roots)
     ?(config = default_config) ?plan ?cost tai q ~emit =
   let min_duration = Query.min_duration q in
   let allen_cs = config.allen in
@@ -72,36 +72,22 @@ let run ?stats ?(obs = Obs.Sink.null) ?per_step ?(roots = All_roots)
   | Error msg -> invalid_arg ("Tsrjoin.run: invalid plan: " ^ msg));
   let steps = Plan.steps plan in
   let n_steps = Array.length steps in
-  (match per_step with
-  | Some arr when Array.length arr <> n_steps ->
-      invalid_arg "Tsrjoin.run: per_step array does not match the plan"
-  | Some _ | None -> ());
-  let step_stats i =
-    match per_step with Some arr -> Some arr.(i) | None -> None
-  in
   let bindings = Array.make (Query.n_vars q) (-1) in
   let assignment = Array.make (Query.n_edges q) (-1) in
   let qw = Query.window q in
-  let tick tick_fn step_i =
-    (match stats with Some s -> tick_fn s | None -> ());
-    match step_stats step_i with Some s -> tick_fn s | None -> ()
+  let tick_binding () =
+    match stats with Some s -> Run_stats.tick_binding s | None -> ()
   in
-  let tick_binding step_i = tick Run_stats.tick_binding step_i in
-  (* the global stats attribute the tuple to its plan level (the
-     estimated-vs-actual feedback loop); step buckets keep their
-     original flat counter *)
+  (* each tuple is attributed to its plan level (the estimated-vs-actual
+     feedback loop) *)
   let tick_intermediate step_i =
-    (match stats with
+    match stats with
     | Some s -> Run_stats.tick_level_intermediate s step_i
-    | None -> ());
-    match step_stats step_i with
-    | Some s -> Run_stats.tick_intermediate s
     | None -> ()
   in
   let tick_result () =
     match stats with Some s -> Run_stats.tick_result s | None -> ()
   in
-  (* seeks are global-only: step_profile keeps its original columns *)
   let tick_seek () =
     match stats with Some s -> Run_stats.tick_seek s | None -> ()
   in
@@ -118,28 +104,11 @@ let run ?stats ?(obs = Obs.Sink.null) ?per_step ?(roots = All_roots)
      not be shared across depths; within a depth, calls are sequential *)
   let lfto_ctxs = Array.init n_steps (fun _ -> Lfto_opt.create_context ()) in
   let run_lfto step_i tsrs ~ws ~we ~emit_combo =
-    (* when profiling, LFTO counters (scanned, enum_steps) land in the
-       step's bucket and are merged into the global stats afterwards *)
-    let lfto_stats =
-      match step_stats step_i with Some s -> Some s | None -> stats
-    in
-    let before_scanned, before_enum =
-      match (per_step, lfto_stats) with
-      | Some _, Some s -> (s.Run_stats.scanned, s.Run_stats.enum_steps)
-      | _ -> (0, 0)
-    in
-    (match config.mode with
-    | Basic ->
-        Lfto.run ?stats:lfto_stats ~obs ~tsrs ~ws ~we ~emit:emit_combo ()
+    match config.mode with
+    | Basic -> Lfto.run ?stats ~obs ~tsrs ~ws ~we ~emit:emit_combo ()
     | Optimized cfg ->
-        Lfto_opt.run ?stats:lfto_stats ~obs ~ctx:lfto_ctxs.(step_i)
-          ~config:cfg ~tsrs ~ws ~we ~emit:emit_combo ());
-    match (per_step, stats, lfto_stats) with
-    | Some _, Some g, Some s ->
-        g.Run_stats.scanned <-
-          g.Run_stats.scanned + s.Run_stats.scanned - before_scanned;
-        Run_stats.add_enum_steps g (s.Run_stats.enum_steps - before_enum)
-    | _ -> ()
+        Lfto_opt.run ?stats ~obs ~ctx:lfto_ctxs.(step_i) ~config:cfg ~tsrs ~ws
+          ~we ~emit:emit_combo ()
   in
   (* TSR of one step edge, with the pivot already bound: fully bound
      when both endpoints are (including self loops), half bound
@@ -162,7 +131,7 @@ let run ?stats ?(obs = Obs.Sink.null) ?per_step ?(roots = All_roots)
       let step_edges = step.Plan.edges in
       let k = Array.length step_edges in
       let handle_binding vb =
-        tick_binding step_i;
+        tick_binding ();
         (* Bind the pivot for TSR retrieval; component roots need it
            explicitly. *)
         let pivot_was = bindings.(pivot) in
@@ -279,47 +248,6 @@ let count ?stats ?obs ?config ?plan ?cost tai q =
   let n = ref 0 in
   run ?stats ?obs ?config ?plan ?cost tai q ~emit:(fun _ -> incr n);
   !n
-
-type step_profile = {
-  step : Plan.step;
-  bindings : int;
-  partials : int;
-  scanned : int;
-  enum_steps : int;
-}
-
-let profile ?config ?plan ?cost tai q =
-  let plan = match plan with Some p -> p | None -> Plan.build ?cost tai q in
-  let n_steps = Array.length (Plan.steps plan) in
-  let per_step = Array.init n_steps (fun _ -> Run_stats.create ()) in
-  let results = ref 0 in
-  run ?config ~plan ~per_step tai q ~emit:(fun _ -> incr results);
-  let profiles =
-    Array.mapi
-      (fun i s ->
-        {
-          step = (Plan.steps plan).(i);
-          bindings = s.Run_stats.bindings;
-          partials = s.Run_stats.intermediate;
-          scanned = s.Run_stats.scanned;
-          enum_steps = s.Run_stats.enum_steps;
-        })
-      per_step
-  in
-  (profiles, !results)
-
-let pp_profile fmt (profiles, results) =
-  Format.fprintf fmt "@[<v>";
-  Array.iteri
-    (fun i p ->
-      Format.fprintf fmt "%s@ "
-        (Printf.sprintf
-           "step %d: pivot x%d%s | bindings %d | partial matches %d | scanned %d | enum steps %d"
-           i p.step.Plan.pivot
-           (if p.step.Plan.produce_binding then " (leapfrog)" else "")
-           p.bindings p.partials p.scanned p.enum_steps))
-    profiles;
-  Format.fprintf fmt "complete matches: %d@]" results
 
 let root_candidates ?stats ?(obs = Obs.Sink.null) ?plan ?cost tai q =
   let plan = match plan with Some p -> p | None -> Plan.build ?cost tai q in

@@ -46,7 +46,6 @@ type roots =
 val run :
   ?stats:Semantics.Run_stats.t ->
   ?obs:Obs.Sink.t ->
-  ?per_step:Semantics.Run_stats.t array ->
   ?roots:roots ->
   ?config:config ->
   ?plan:Plan.t ->
@@ -96,25 +95,3 @@ val root_candidates :
     [stats]/[obs] exactly as {!run} would, so a parallel run's merged
     counters match a sequential run's. The multicore driver lives in
     [Exec.Parallel] (lib/exec); this stays single-domain. *)
-
-(** {2 Profiling (EXPLAIN ANALYZE)} *)
-
-type step_profile = {
-  step : Plan.step;
-  bindings : int;  (** pivot bindings examined at this step *)
-  partials : int;  (** partial matches this step produced *)
-  scanned : int;  (** TSR edges its LFTO sweeps read *)
-  enum_steps : int;  (** active-list elements visited *)
-}
-
-val profile :
-  ?config:config ->
-  ?plan:Plan.t ->
-  ?cost:Plan.cost_model ->
-  Tai.t ->
-  Semantics.Query.t ->
-  step_profile array * int
-(** Executes the query collecting per-plan-step counters; also returns
-    the complete-match count. *)
-
-val pp_profile : Format.formatter -> step_profile array * int -> unit

@@ -135,8 +135,6 @@ let create ?(slow_ms = infinity) ?(sample = 1.0) path =
         }
   | exception Sys_error msg -> Error msg
 
-let slow_threshold_ms t = t.slow_ms
-
 let is_slow t r = r.duration_ms >= t.slow_ms
 
 let log t r =
@@ -165,12 +163,6 @@ let log t r =
   end;
   Mutex.unlock t.mutex;
   keep
-
-let written t =
-  Mutex.lock t.mutex;
-  let n = t.written in
-  Mutex.unlock t.mutex;
-  n
 
 let close t =
   Mutex.lock t.mutex;

@@ -67,14 +67,9 @@ val create : ?slow_ms:float -> ?sample:float -> string -> (t, string) result
     the keep-rate for ordinary lines — slow or non-[Completed] records
     are always written regardless. *)
 
-val slow_threshold_ms : t -> float
-
 val log : t -> record -> bool
 (** Append one record (thread-safe). Returns whether the line was
     written — [false] only when the deterministic sampler thinned an
     ordinary (fast, completed) record or the writer is closed. *)
-
-val written : t -> int
-(** Lines written so far. *)
 
 val close : t -> unit

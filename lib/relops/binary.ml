@@ -111,8 +111,3 @@ let run ?stats adj q ~emit =
       Volcano.consume root (fun tup ->
           tick_result ();
           emit (Tuple.to_match tup))
-
-let evaluate ?stats adj q =
-  let acc = ref [] in
-  run ?stats adj q ~emit:(fun m -> acc := m :: !acc);
-  List.rev !acc

@@ -140,8 +140,3 @@ let run ?stats adj q ~emit =
     end
   in
   bind_var 0 (Some (Temporal.Interval.make min_int max_int))
-
-let evaluate ?stats adj q =
-  let acc = ref [] in
-  run ?stats adj q ~emit:(fun m -> acc := m :: !acc);
-  List.rev !acc

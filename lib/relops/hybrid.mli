@@ -16,9 +16,3 @@ val run :
   Semantics.Query.t ->
   emit:(Semantics.Match_result.t -> unit) ->
   unit
-
-val evaluate :
-  ?stats:Semantics.Run_stats.t ->
-  Triejoin.Adjacency.t ->
-  Semantics.Query.t ->
-  Semantics.Match_result.t list

@@ -167,8 +167,3 @@ let run ?stats idx q ~emit =
     end;
     cur.(i) <- cur.(i) + 1
   done
-
-let evaluate ?stats idx q =
-  let acc = ref [] in
-  run ?stats idx q ~emit:(fun m -> acc := m :: !acc);
-  List.rev !acc

@@ -17,9 +17,3 @@ val run :
   Semantics.Query.t ->
   emit:(Semantics.Match_result.t -> unit) ->
   unit
-
-val evaluate :
-  ?stats:Semantics.Run_stats.t ->
-  Sti_index.t ->
-  Semantics.Query.t ->
-  Semantics.Match_result.t list

@@ -45,11 +45,3 @@ let is_complete tup = Array.for_all (fun id -> id >= 0) tup.edges
 let to_match tup =
   if not (is_complete tup) then invalid_arg "Tuple.to_match: incomplete tuple";
   Match_result.make (Array.copy tup.edges) tup.life
-
-let pp fmt tup =
-  Format.fprintf fmt "(%s | %s | %a)"
-    (String.concat ","
-       (Array.to_list (Array.map string_of_int tup.edges)))
-    (String.concat ","
-       (Array.to_list (Array.map string_of_int tup.binds)))
-    Temporal.Interval.pp tup.life

@@ -29,5 +29,3 @@ val is_complete : t -> bool
 
 val to_match : t -> Semantics.Match_result.t
 (** @raise Invalid_argument when the tuple is incomplete. *)
-
-val pp : Format.formatter -> t -> unit

@@ -119,5 +119,3 @@ let canonical_plan q =
     (window_bucket (Temporal.Interval.length (Query.window q)));
   Printf.bprintf buf "|d%d" (Query.min_duration q);
   Buffer.contents buf
-
-let plan_key q = Printf.sprintf "%016Lx" (fnv1a64 (canonical_plan q))

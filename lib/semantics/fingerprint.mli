@@ -50,13 +50,6 @@ val canonical_plan : Query.t -> string
 (** The readable plan-key form ([tcsq-fp-plan/v1|...]): canonical edges,
     bucketed window length, duration floor. *)
 
-val plan_key : Query.t -> string
-(** 16 lowercase hex digits over {!canonical_plan} — the plan-cache
-    lookup key. Two queries with equal keys have edge lists of the same
-    length whose i-th edges agree on label and canonical endpoints
-    (modulo hash collision), which is exactly the property that makes a
-    cached pivot order transferable between them. *)
-
 val canonical_vars : Query.t -> int array
 (** The canonicalization behind both forms: actual variable id →
     canonical id by first appearance over the edge list (src before

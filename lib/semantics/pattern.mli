@@ -17,7 +17,6 @@ type shape =
           users following k accounts in common" *)
 
 val n_edges : shape -> int
-val n_vars : shape -> int
 
 val validate : shape -> unit
 (** @raise Invalid_argument on a degenerate size (e.g. [Cycle 2]). *)

@@ -84,17 +84,6 @@ let is_connected q =
   visit 0;
   Array.for_all Fun.id seen
 
-let vars_of_edges q idxs =
-  let module S = Set.Make (Int) in
-  let set =
-    List.fold_left
-      (fun s i ->
-        let e = edge q i in
-        S.add e.src_var (S.add e.dst_var s))
-      S.empty idxs
-  in
-  S.elements set
-
 let pp fmt q =
   Format.fprintf fmt "@[<hov 2>query(%d vars; window %a;%s" q.n_vars
     Temporal.Interval.pp q.window

@@ -59,7 +59,4 @@ val other_endpoint : edge -> int -> int
 val is_connected : t -> bool
 (** Whether the pattern (ignoring direction) is connected. *)
 
-val vars_of_edges : t -> int list -> int list
-(** The sorted set of variables touched by the given edge indices. *)
-
 val pp : Format.formatter -> t -> unit

@@ -10,7 +10,8 @@ let connect path =
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  { fd; reader = Wire.reader fd }
+  (* unbounded: subscribe snapshots and delta frames have no size cap *)
+  { fd; reader = Wire.reader ~max_line:max_int fd }
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 

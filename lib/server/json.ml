@@ -260,9 +260,15 @@ let member key = function
 let string_opt = function String s -> Some s | _ -> None
 let bool_opt = function Bool b -> Some b | _ -> None
 
+(* [int_of_float] is undefined outside the int range; [float_of_int
+   max_int] rounds up to 2^62, hence the strict bound *)
 let int_opt = function
   | Int i -> Some i
-  | Float f when Float.is_integer f -> Some (int_of_float f)
+  | Float f
+    when Float.is_integer f
+         && f >= float_of_int min_int
+         && f < float_of_int max_int ->
+      Some (int_of_float f)
   | _ -> None
 
 let float_opt = function

@@ -69,7 +69,18 @@ type request =
   | Ping of string option
   | Shutdown of string option
 
+(* A present integer field that is not a representable int is refused,
+   not read as absent. *)
 let parse_ingest_edge j =
+  match
+    List.find_opt
+      (fun k -> Option.is_some (Json.member k j) && Json.mem_int k j = None)
+      [ "src"; "dst"; "ts"; "te" ]
+  with
+  | Some k ->
+      Error
+        (Printf.sprintf "ingest edge field %S is not a representable integer" k)
+  | None ->
   match
     ( Json.mem_int "src" j,
       Json.mem_int "dst" j,
@@ -86,6 +97,14 @@ let parse_request line =
   | Error msg -> Error (Printf.sprintf "bad JSON: %s" msg)
   | Ok j -> (
       let id = Json.mem_string "id" j in
+      match
+        List.find_opt
+          (fun k -> Option.is_some (Json.member k j) && Json.mem_int k j = None)
+          [ "limit"; "max_results"; "max_intermediate"; "window_width"; "sub" ]
+      with
+      | Some k ->
+          Error (Printf.sprintf "field %S is not a representable integer" k)
+      | None ->
       match Json.mem_string "op" j with
       | None -> Error "missing \"op\" field"
       | Some "ingest" -> (

@@ -618,6 +618,10 @@ let unregister t fd =
   t.conns <- List.filter (fun fd' -> fd' <> fd) t.conns;
   Mutex.unlock t.state_mutex
 
+(* The longest request line a connection may send: one client that
+   never sends a newline must not grow the server's buffer unbounded. *)
+let max_request_bytes = 16 * 1024 * 1024
+
 let handle_conn t fd =
   (* workers answer out of order, so every response line is written
      under this lock; a vanished client just drops the write *)
@@ -628,7 +632,7 @@ let handle_conn t fd =
      with Unix.Unix_error _ | Sys_error _ -> ());
     Mutex.unlock wlock
   in
-  let reader = Wire.reader fd in
+  let reader = Wire.reader ~max_line:max_request_bytes fd in
   let rec loop () =
     match Wire.read_line reader with
     | None -> ()
@@ -636,6 +640,12 @@ let handle_conn t fd =
         let line = String.trim line in
         if line <> "" then handle_request t ~conn:fd send line;
         loop ()
+    | exception Wire.Frame_too_long ->
+        Metrics.record_parse_error t.metrics;
+        send
+          (Protocol.error_response ~kind:"parse"
+             (Printf.sprintf "request frame exceeds %d bytes"
+                max_request_bytes))
   in
   (try loop () with _ -> ());
   unregister t fd;

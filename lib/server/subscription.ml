@@ -183,9 +183,8 @@ let on_ingest t ~engine ~generation =
             core ~windows
         in
         List.iteri
-          (fun i s ->
-            refresh ~generation ~t0 s (List.nth windows i) per_window.(i))
-          members)
+          (fun i (s, window) -> refresh ~generation ~t0 s window per_window.(i))
+          (List.combine members windows))
       (List.rev !order);
     List.iter
       (fun s ->

@@ -64,10 +64,3 @@ let earliest_concurrent c t =
   | Some _ | None -> None
 
 let size_words c = 3 + (4 * Array.length c.tuples)
-
-let pp fmt c =
-  Format.fprintf fmt "@[<hov 1>{";
-  Array.iter
-    (fun { cs; ce; ec } -> Format.fprintf fmt "(%d,%d,%d)@ " cs ce ec)
-    c.tuples;
-  Format.fprintf fmt "}@]"

@@ -50,5 +50,3 @@ val earliest_concurrent : t -> int -> int option
 val size_words : t -> int
 (** Approximate heap footprint in machine words, for the storage-cost
     accounting of Table IV. *)
-
-val pp : Format.formatter -> t -> unit

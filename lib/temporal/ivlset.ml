@@ -70,10 +70,6 @@ let diff a b =
   in
   go [] a b
 
-let mem s t = List.exists (fun i -> Interval.contains i t) s
-
-let length s = List.fold_left (fun acc i -> acc + Interval.length i) 0 s
-
 let equal a b = List.length a = List.length b && List.for_all2 Interval.equal a b
 
 let to_string s =

@@ -31,10 +31,6 @@ val diff : t -> t -> t
 (** [diff a b] is the set of timestamps in [a] but not [b], as maximal
     intervals. *)
 
-val mem : t -> int -> bool
-val length : t -> int
-(** Total number of timestamps covered. *)
-
 val equal : t -> t -> bool
 val to_list : t -> Interval.t list
 val to_string : t -> string

@@ -11,10 +11,6 @@ let create ?(capacity = 16) ~cmp () =
   { cmp; data = [||]; size = 0; hint = max capacity 1 }
 
 let length h = h.size
-let is_empty h = h.size = 0
-
-
-
 let rec sift_up h i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
@@ -51,10 +47,6 @@ let push h x =
 
 let peek h = if h.size = 0 then None else Some h.data.(0)
 
-let peek_exn h =
-  if h.size = 0 then invalid_arg "Min_heap.peek_exn: empty heap"
-  else h.data.(0)
-
 let pop_exn h =
   if h.size = 0 then invalid_arg "Min_heap.pop_exn: empty heap"
   else begin
@@ -68,4 +60,3 @@ let pop_exn h =
   end
 
 let pop h = if h.size = 0 then None else Some (pop_exn h)
-let clear h = h.size <- 0

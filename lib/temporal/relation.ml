@@ -44,20 +44,6 @@ let count_window r ~ws ~we =
   done;
   !count
 
-let time_span r =
-  if is_empty r then None
-  else begin
-    let ts = Span_item.ts r.items.(0) in
-    let te = ref min_int in
-    Array.iter (fun it -> te := max !te (Span_item.te it)) r.items;
-    Some (Interval.make ts !te)
-  end
-
 (* A span item is a 2-word record header-included approximation plus an
    interval record: ~6 words per item, 1 word per array slot. *)
 let size_words r = 1 + (7 * Array.length r.items)
-
-let pp fmt r =
-  Format.fprintf fmt "@[<hov 1>[";
-  Array.iter (fun it -> Format.fprintf fmt "%a@ " Span_item.pp it) r.items;
-  Format.fprintf fmt "]@]"

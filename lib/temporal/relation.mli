@@ -1,8 +1,7 @@
 (** A temporal relation: span items sorted by start time.
 
-    This is the common input format of every interval join algorithm in
-    this library and the storage format of the TSRs attached to the TAI
-    tries. *)
+    The storage under a start-time index ({!Sti}), one per label in the
+    TIME baseline's STI-CP index. *)
 
 type t
 
@@ -32,11 +31,5 @@ val upper_bound_start : t -> int -> int
 val count_window : t -> ws:int -> we:int -> int
 (** Number of items overlapping the window (linear in candidates). *)
 
-val time_span : t -> Interval.t option
-(** The smallest interval covering every item, if the relation is
-    non-empty. *)
-
 val size_words : t -> int
 (** Approximate heap words, counting items as boxed records. *)
-
-val pp : Format.formatter -> t -> unit

@@ -10,10 +10,6 @@ let compare_by_start a b =
   let c = Interval.compare a.ivl b.ivl in
   if c <> 0 then c else Int.compare a.id b.id
 
-let compare_by_end a b =
-  let c = Interval.compare_by_end a.ivl b.ivl in
-  if c <> 0 then c else Int.compare a.id b.id
-
 let sort_by_start items = Array.sort compare_by_start items
 
 let is_sorted_by_start items =
@@ -24,5 +20,3 @@ let is_sorted_by_start items =
     else check (i + 1)
   in
   n <= 1 || check 1
-
-let pp fmt x = Format.fprintf fmt "#%d%a" x.id Interval.pp x.ivl

@@ -1,7 +1,7 @@
 (** A payload-carrying interval: the unit of every temporal relation.
 
-    Interval join algorithms in this library operate on arrays of
-    [Span_item.t] — an integer payload (an edge id, a tuple id, ...)
+    Relations, start-time indexes and coverage builds operate on arrays
+    of [Span_item.t] — an integer payload (an edge id, a tuple id, ...)
     together with its validity interval. *)
 
 type t = { id : int; ivl : Interval.t }
@@ -15,12 +15,7 @@ val te : t -> int
 val compare_by_start : t -> t -> int
 (** (start, end, id) lexicographic: the canonical relation order. *)
 
-val compare_by_end : t -> t -> int
-(** (end, start, id) lexicographic: the active-list order. *)
-
 val sort_by_start : t array -> unit
 (** In-place sort in {!compare_by_start} order. *)
 
 val is_sorted_by_start : t array -> bool
-
-val pp : Format.formatter -> t -> unit

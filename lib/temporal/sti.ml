@@ -39,8 +39,3 @@ let enum_window sti ~ws ~we ~f =
 
 let size_words sti =
   2 + Relation.size_words sti.relation + Coverage.size_words sti.coverage
-
-let build_time relation =
-  let t0 = Unix.gettimeofday () in
-  let sti = build relation in
-  (sti, Unix.gettimeofday () -. t0)

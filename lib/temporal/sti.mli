@@ -27,7 +27,3 @@ val enum_window : t -> ws:int -> we:int -> f:(Span_item.t -> unit) -> int
     count. *)
 
 val size_words : t -> int
-
-val build_time : Relation.t -> t * float
-(** [build_time r] also reports the wall-clock build seconds, for the
-    pre-processing cost accounting of Table V. *)

@@ -35,32 +35,12 @@ let pop_exn v =
   v.size <- v.size - 1;
   v.data.(v.size)
 
-let last_exn v =
-  if v.size = 0 then invalid_arg "Vec.last_exn: empty vector";
-  v.data.(v.size - 1)
-
 let clear v = v.size <- 0
 
 let iter f v =
   for i = 0 to v.size - 1 do
     f v.data.(i)
   done
-
-let iteri f v =
-  for i = 0 to v.size - 1 do
-    f i v.data.(i)
-  done
-
-let fold_left f init v =
-  let acc = ref init in
-  for i = 0 to v.size - 1 do
-    acc := f !acc v.data.(i)
-  done;
-  !acc
-
-let exists p v =
-  let rec go i = i < v.size && (p v.data.(i) || go (i + 1)) in
-  go 0
 
 let to_array v = Array.sub v.data 0 v.size
 let to_list v = Array.to_list (to_array v)

@@ -14,17 +14,10 @@ val pop_exn : 'a t -> 'a
 (** Removes and returns the last element.
     @raise Invalid_argument on an empty vector. *)
 
-val last_exn : 'a t -> 'a
-(** @raise Invalid_argument on an empty vector. *)
-
 val clear : 'a t -> unit
 val iter : ('a -> unit) -> 'a t -> unit
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
-val fold_left : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
-val exists : ('a -> bool) -> 'a t -> bool
 val to_array : 'a t -> 'a array
 val to_list : 'a t -> 'a list
-val of_array : 'a array -> 'a t
 val of_list : 'a list -> 'a t
 
 val insert_sorted : cmp:('a -> 'a -> int) -> 'a t -> 'a -> unit

@@ -116,7 +116,3 @@ let graph ?(scale = 1.0) name =
       let g = Generator.generate (config ~scale name) in
       Hashtbl.add cache key g;
       g
-
-let is_transportation = function
-  | Yellow | Green | Bike | Divvy -> true
-  | Stack | Caida -> false

@@ -27,7 +27,4 @@ val graph : ?scale:float -> name -> Graph.t
 (** [graph name] generates the dataset (deterministic; results are
     memoized per [(name, scale)] within a process). *)
 
-val is_transportation : name -> bool
-(** Yellow, Green, Bike, Divvy: the subset used by Fig. 11. *)
-
 val describe : name -> string

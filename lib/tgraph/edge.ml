@@ -44,8 +44,6 @@ let compare_ld a b =
   else if a.dst <> b.dst then Int.compare a.dst b.dst
   else compare_by_start a b
 
-let equal a b = a.id = b.id
-
 let pp fmt e =
   Format.fprintf fmt "e%d:%d-[%d]->%d@%a" e.id e.src e.lbl e.dst
     Temporal.Interval.pp e.ivl

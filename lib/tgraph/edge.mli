@@ -42,5 +42,4 @@ val compare_ls : t -> t -> int
 val compare_ld : t -> t -> int
 (** (label, destination, start, id): the temporal LD index order. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -122,8 +122,6 @@ let append g l =
     extra;
   { g with edges; n_vertices = !max_vertex + 1 }
 
-let size_words g = 3 + (8 * Array.length g.edges)
-
 let pp_summary fmt g =
   Format.fprintf fmt "graph{|V|=%d |E|=%d |L|=%d%t}" (n_vertices g) (n_edges g)
     (n_labels g) (fun fmt ->

@@ -64,5 +64,4 @@ val append : t -> (int * int * int * int * int) list -> t
     must already be interned).
     @raise Invalid_argument on invalid vertices, labels or intervals. *)
 
-val size_words : t -> int
 val pp_summary : Format.formatter -> t -> unit

@@ -70,8 +70,3 @@ let selectivity t ~lbl ~ws ~we =
   else
     min 1.0
       (max 1e-9 (active_in_window t ~lbl ~ws ~we /. float_of_int t.totals.(lbl)))
-
-let size_words t =
-  4
-  + Array.fold_left (fun acc b -> acc + Array.length b + 1) 0 t.counts
-  + Array.length t.totals

@@ -26,5 +26,3 @@ val selectivity : t -> lbl:int -> ws:int -> we:int -> float
 (** [active_in_window / label count], clamped to [1e-9, 1]: the
     fraction of the label's edges that are temporally relevant to the
     window. *)
-
-val size_words : t -> int

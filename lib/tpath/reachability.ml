@@ -91,8 +91,6 @@ let journey_to r v =
       }
   end
 
-let source r = r.src
-
 let default_window g window =
   match window with
   | Some w -> w

@@ -26,8 +26,6 @@ val journey_to : result -> int -> Journey.t option
     reconstruction); [None] for the source itself or unreachable
     vertices. *)
 
-val source : result -> int
-
 (** {2 The companion queries of the temporal-path literature} *)
 
 val latest_departure :

@@ -49,8 +49,6 @@ let create ?(on_seek = nop) ?(on_next = nop) iters =
     lf
   end
 
-let current lf = lf.binding
-
 let next lf =
   match lf.binding with
   | None -> ()

@@ -16,17 +16,11 @@ val create :
     without this library depending on their stats types.
     @raise Invalid_argument on an empty array. *)
 
-val current : t -> int option
-(** The binding at the current position, if the intersection is not yet
-    exhausted. *)
-
 val next : t -> unit
 (** Advance past the current binding. *)
 
 val iter : (int -> unit) -> t -> unit
 (** Iterate over all remaining bindings. *)
-
-val to_list : t -> int list
 
 val intersect_arrays : int array list -> int array
 (** Convenience: the intersection of strictly-ascending arrays. *)

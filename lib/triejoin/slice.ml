@@ -34,9 +34,4 @@ let fold f init s =
   done;
   !acc
 
-let exists p s =
-  let rec go i = i < s.len && (p s.data.(s.off + i) || go (i + 1)) in
-  go 0
-
 let to_list s = List.init s.len (get s)
-let to_array s = Array.sub s.data s.off s.len

@@ -17,6 +17,4 @@ val get : 'a t -> int -> 'a
 val sub : 'a t -> off:int -> len:int -> 'a t
 val iter : ('a -> unit) -> 'a t -> unit
 val fold : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
-val exists : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list
-val to_array : 'a t -> 'a array

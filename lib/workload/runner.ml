@@ -77,10 +77,6 @@ let run_method ?(budget = default_budget) ?obs ?tsrjoin_config ?pool ?domains
     total_est_levels = Run_stats.est_levels totals;
   }
 
-let run_all ?budget ?(methods = Engine.all_methods) engine queries =
-  Array.to_list
-    (Array.map (fun m -> run_method ?budget engine m queries) methods)
-
 let pp_header fmt () =
   Format.fprintf fmt "%-8s %8s %6s %12s %12s %14s %14s" "method" "queries"
     "trunc" "mean-ms" "total-s" "intermediate" "scanned"

@@ -52,13 +52,6 @@ val run_method :
     so only the timing columns
     move. *)
 
-val run_all :
-  ?budget:budget ->
-  ?methods:Engine.method_ array ->
-  Engine.t ->
-  Semantics.Query.t list ->
-  measurement list
-
 val percentile : float array -> float -> float
 (** [percentile sorted p] over an ascending array ([0.] when empty);
     the p50/p95 estimator shared by measurements and the server's

@@ -12,5 +12,4 @@ val load : Tgraph.Graph.t -> string -> (Semantics.Query.t list, string) result
 (** Fails with a line-numbered message on the first malformed query or
     unknown label. *)
 
-val to_lines : Tgraph.Graph.t -> Semantics.Query.t list -> string list
 val of_lines : Tgraph.Graph.t -> string list -> (Semantics.Query.t list, string) result

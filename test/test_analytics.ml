@@ -1,5 +1,5 @@
-(* Tests for Multi_window shared evaluation, Tsrjoin profiling, and the
-   Analytics aggregations. *)
+(* Tests for Multi_window shared evaluation and the Analytics
+   aggregations. *)
 
 open Semantics
 open Tcsq_core
@@ -122,32 +122,6 @@ let prop_multi_window_equals_independent =
             (Match_result.Result_set.of_list shared_ms))
         windows (Array.to_list shared))
 
-(* ---------- profiling ---------- *)
-
-let test_profile_counts () =
-  let g =
-    Test_util.random_graph ~seed:62 ~n_vertices:6 ~n_edges:80 ~n_labels:3
-      ~domain:40 ~max_len:10 ()
-  in
-  let tai = Tai.build g in
-  let q =
-    Pattern.instantiate (Pattern.Chain 3) ~labels:[| 0; 1; 2 |]
-      ~window:(window 0 39)
-  in
-  let profiles, results = Tsrjoin.profile tai q in
-  Alcotest.(check int) "matches the plain count" (Tsrjoin.count tai q) results;
-  Alcotest.(check bool) "at least one step" true (Array.length profiles > 0);
-  (* per-step counters sum to the global ones *)
-  let stats = Run_stats.create () in
-  ignore (Tsrjoin.count ~stats tai q);
-  let sum f = Array.fold_left (fun acc p -> acc + f p) 0 profiles in
-  Alcotest.(check int) "bindings add up" stats.Run_stats.bindings
-    (sum (fun p -> p.Tsrjoin.bindings));
-  Alcotest.(check int) "partials add up" stats.Run_stats.intermediate
-    (sum (fun p -> p.Tsrjoin.partials));
-  Alcotest.(check int) "scanned adds up" stats.Run_stats.scanned
-    (sum (fun p -> p.Tsrjoin.scanned))
-
 let () =
   Alcotest.run "analytics"
     [
@@ -165,7 +139,6 @@ let () =
           Alcotest.test_case "validation" `Quick test_multi_window_validation;
           Alcotest.test_case "sliding" `Quick test_sliding;
         ] );
-      ("profile", [ Alcotest.test_case "per-step counters" `Quick test_profile_counts ]);
       ( "properties",
         [ QCheck_alcotest.to_alcotest ~long:false prop_multi_window_equals_independent ] );
     ]

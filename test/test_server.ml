@@ -484,6 +484,93 @@ let test_deep_nesting () =
           Alcotest.(check bool) "ping after deep nesting" true
             (Client.ping client)))
 
+(* integral JSON numbers outside the int range are refused, never
+   wrapped by [int_of_float] *)
+let test_int_fields () =
+  let some_int = Alcotest.(check (option int)) in
+  some_int "1e19" None (Json.int_opt (Json.Float 1e19));
+  some_int "2^62" None (Json.int_opt (Json.Float 4611686018427387904.0));
+  some_int "-2^62" (Some min_int)
+    (Json.int_opt (Json.Float (-4611686018427387904.0)));
+  some_int "1e15" (Some 1_000_000_000_000_000) (Json.int_opt (Json.Float 1e15));
+  let g =
+    Test_util.random_graph ~seed:12 ~n_vertices:4 ~n_edges:20 ~n_labels:2
+      ~domain:20 ~max_len:5 ()
+  in
+  with_server g (fun _srv _engine path ->
+      let client = Client.connect path in
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () ->
+          List.iter
+            (fun (field, line, message) ->
+              Client.send_raw client line;
+              match Client.recv client with
+              | Error msg -> Alcotest.failf "%s response: %s" field msg
+              | Ok r ->
+                  Alcotest.(check string) (field ^ " status") "error"
+                    r.Protocol.status;
+                  Alcotest.(check (option string))
+                    (field ^ " kind") (Some "parse") r.Protocol.kind;
+                  Alcotest.(check (option string))
+                    (field ^ " named") (Some message) r.Protocol.message)
+            [
+              ( "limit",
+                {|{"op": "query", "query": "MATCH (x)-[l0]->(y) IN [0, 20]", "limit": 1e19}|},
+                {|field "limit" is not a representable integer|} );
+              ( "window_width",
+                {|{"op": "subscribe", "query": "MATCH (x)-[l0]->(y) IN [0, 20]", "window_width": 1e19}|},
+                {|field "window_width" is not a representable integer|} );
+              ( "ts",
+                {|{"op": "ingest", "edges": [{"src": 0, "dst": 1, "label": "l0", "ts": 4611686018427387904.0, "te": 4611686018427387905.0}]}|},
+                {|ingest edge field "ts" is not a representable integer|} );
+            ];
+          Alcotest.(check bool) "ping" true (Client.ping client)))
+
+(* a client that never sends a newline must not grow the server's line
+   buffer without bound: one byte past the cap draws one parse error and
+   the server hangs up *)
+let test_frame_cap () =
+  let g =
+    Test_util.random_graph ~seed:12 ~n_vertices:4 ~n_edges:20 ~n_labels:2
+      ~domain:20 ~max_len:5 ()
+  in
+  with_server g (fun _srv _engine path ->
+      let cap = Server.max_request_bytes in
+      let client = Client.connect path in
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () ->
+          let data = Bytes.make (cap + 1) 'x' in
+          let off = ref 0 in
+          while !off < cap + 1 do
+            off := !off + Unix.write client.Client.fd data !off (cap + 1 - !off)
+          done;
+          (match Client.recv client with
+          | Error msg -> Alcotest.failf "oversized-frame response: %s" msg
+          | Ok r ->
+              Alcotest.(check string) "status" "error" r.Protocol.status;
+              Alcotest.(check (option string))
+                "kind" (Some "parse") r.Protocol.kind;
+              Alcotest.(check (option string))
+                "names the cap"
+                (Some (Printf.sprintf "request frame exceeds %d bytes" cap))
+                r.Protocol.message);
+          Alcotest.(check bool) "then EOF" true
+            (Result.is_error (Client.recv_raw client)));
+      let fresh = Client.connect path in
+      Fun.protect
+        ~finally:(fun () -> Client.close fresh)
+        (fun () ->
+          Alcotest.(check bool) "fresh connection answers ping" true
+            (Client.ping fresh);
+          match Client.metrics fresh with
+          | Error msg -> Alcotest.failf "metrics: %s" msg
+          | Ok snapshot ->
+              Alcotest.(check int)
+                "parse error counted" 1
+                (metrics_int snapshot [ "requests"; "parse_errors" ])))
+
 (* ---- result limit ---- *)
 
 let test_match_limit () =
@@ -763,5 +850,8 @@ let () =
         [
           Alcotest.test_case "error paths" `Quick test_error_paths;
           Alcotest.test_case "deep nesting refused" `Quick test_deep_nesting;
+          Alcotest.test_case "oversized frame refused" `Quick test_frame_cap;
+          Alcotest.test_case "out-of-range integer fields refused" `Quick
+            test_int_fields;
         ] );
     ]

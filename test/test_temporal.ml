@@ -1,5 +1,5 @@
 (* Unit and property tests for the temporal substrate: Interval,
-   Span_item, Vec, Min_heap, Active_list, Relation, Coverage. *)
+   Span_item, Vec, Min_heap, Relation, Coverage. *)
 
 open Temporal
 
@@ -184,20 +184,6 @@ let test_relation_of_sorted_rejects () =
   check_invalid "unsorted rejected" (fun () ->
       ignore (Relation.of_sorted (items_of [ (0, 5, 6); (1, 1, 2) ])))
 
-(* ---------- Active_list ---------- *)
-
-let test_active_list () =
-  let a = Active_list.create () in
-  List.iter
-    (fun (id, s, e) -> Active_list.insert a (Span_item.make id (Interval.make s e)))
-    [ (0, 1, 9); (1, 2, 3); (2, 0, 5) ];
-  Alcotest.(check (option int)) "min end" (Some 3) (Active_list.min_end a);
-  let removed = Active_list.expire a 5 in
-  Alcotest.(check int) "expired one" 1 removed;
-  Alcotest.(check (list int))
-    "end order" [ 2; 0 ]
-    (List.map Span_item.id (Active_list.to_list a))
-
 (* ---------- Coverage ---------- *)
 
 (* brute-force earliest concurrent *)
@@ -364,7 +350,6 @@ let () =
           Alcotest.test_case "count_window" `Quick test_relation_window_count;
           Alcotest.test_case "of_sorted validates" `Quick test_relation_of_sorted_rejects;
         ] );
-      ("active_list", [ Alcotest.test_case "insert / expire" `Quick test_active_list ]);
       ( "coverage",
         [
           Alcotest.test_case "single interval" `Quick test_coverage_simple;

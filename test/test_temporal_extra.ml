@@ -1,5 +1,4 @@
-(* Tests for the extended temporal substrate: Allen's interval algebra
-   and the LEBI / bgFS interval-join variants. *)
+(* Tests for Allen's interval algebra over closed integer intervals. *)
 
 open Temporal
 
@@ -66,77 +65,6 @@ let test_allen_all_reachable () =
   done;
   Alcotest.(check int) "13 relations" 13 (Hashtbl.length seen)
 
-(* ---------- LEBI / bgFS vs the reference sweeps ---------- *)
-
-let items_of l =
-  Array.of_list
-    (List.map (fun (id, a, b) -> Span_item.make id (Interval.make a b)) l)
-
-let rel l = Relation.of_items (items_of l)
-
-let pairs join l r =
-  let acc = ref [] in
-  let _ = join l r ~f:(fun a b -> acc := (Span_item.id a, Span_item.id b) :: !acc) in
-  List.sort compare !acc
-
-let test_lebi_small () =
-  let l = rel [ (0, 1, 5); (1, 4, 8); (2, 4, 4) ] in
-  let r = rel [ (10, 5, 6); (11, 9, 9); (12, 4, 10) ] in
-  Alcotest.(check (list (pair int int)))
-    "pairs"
-    (pairs (fun l r ~f -> Sweep_join.join l r ~f) l r)
-    (pairs Lebi.join l r)
-
-let test_bgfs_small () =
-  let l = rel [ (0, 1, 5); (1, 1, 2); (2, 1, 9) ] in
-  let r = rel [ (10, 1, 1); (11, 2, 3); (12, 20, 21) ] in
-  Alcotest.(check (list (pair int int)))
-    "pairs with tied starts"
-    (pairs (fun l r ~f -> Sweep_join.join l r ~f) l r)
-    (pairs Bgfs.join l r)
-
-let test_new_joins_empty () =
-  let e = Relation.empty and r = rel [ (0, 1, 2) ] in
-  Alcotest.(check int) "lebi empty" 0 (Lebi.count e r);
-  Alcotest.(check int) "lebi empty right" 0 (Lebi.count r e);
-  Alcotest.(check int) "bgfs empty" 0 (Bgfs.count e r);
-  Alcotest.(check int) "bgfs empty right" 0 (Bgfs.count r e)
-
-let gen_rel =
-  QCheck.Gen.(
-    list_size (int_range 0 40)
-      (pair (int_range 0 30) (int_range 0 10) >|= fun (s, d) -> (s, s + d)))
-
-let arb_two_rels =
-  QCheck.make
-    QCheck.Gen.(pair gen_rel gen_rel)
-    ~print:(fun (a, b) ->
-      let s l =
-        String.concat ";" (List.map (fun (x, y) -> Printf.sprintf "[%d,%d]" x y) l)
-      in
-      s a ^ " | " ^ s b)
-
-let mk side spans = rel (List.mapi (fun i (a, b) -> ((side * 1000) + i, a, b)) spans)
-
-let prop_lebi_matches_sweep =
-  QCheck.Test.make ~name:"LEBI = EBI sweep" ~count:300 arb_two_rels
-    (fun (a, b) ->
-      let l = mk 0 a and r = mk 1 b in
-      pairs Lebi.join l r = pairs (fun l r ~f -> Sweep_join.join l r ~f) l r)
-
-let prop_bgfs_matches_sweep =
-  QCheck.Test.make ~name:"bgFS = EBI sweep" ~count:300 arb_two_rels
-    (fun (a, b) ->
-      let l = mk 0 a and r = mk 1 b in
-      pairs Bgfs.join l r = pairs (fun l r ~f -> Sweep_join.join l r ~f) l r)
-
-let prop_all_four_agree_on_counts =
-  QCheck.Test.make ~name:"EBI = gFS = LEBI = bgFS (counts)" ~count:200
-    arb_two_rels (fun (a, b) ->
-      let l = mk 0 a and r = mk 1 b in
-      let c = Sweep_join.count l r in
-      Forward_scan.count l r = c && Lebi.count l r = c && Bgfs.count l r = c)
-
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -147,13 +75,5 @@ let () =
           Alcotest.test_case "examples" `Quick test_allen_examples;
           Alcotest.test_case "all 13 reachable" `Quick test_allen_all_reachable;
         ] );
-      ( "joins",
-        [
-          Alcotest.test_case "lebi small" `Quick test_lebi_small;
-          Alcotest.test_case "bgfs tied starts" `Quick test_bgfs_small;
-          Alcotest.test_case "empty relations" `Quick test_new_joins_empty;
-        ] );
       qsuite "allen-properties" [ prop_allen_unique; prop_allen_inverse_involution ];
-      qsuite "join-properties"
-        [ prop_lebi_matches_sweep; prop_bgfs_matches_sweep; prop_all_four_agree_on_counts ];
     ]
