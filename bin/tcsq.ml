@@ -169,12 +169,8 @@ let apply_lasting_ext lasting eq =
 let parse_query_or_match g match_ pattern labels window window_frac =
   match match_ with
   | Some text ->
-      let default_window =
-        match parse_window g window window_frac with
-        | Ok w -> Some w
-        | Error _ -> None
-      in
-      Semantics.Qlang.parse_and_compile_ext ?default_window g text
+      Result.bind (parse_window g window window_frac) (fun w ->
+          Semantics.Qlang.parse_and_compile_ext ~default_window:w g text)
   | None ->
       Result.map Semantics.Equery.plain
         (parse_query g pattern labels window window_frac)
@@ -184,6 +180,62 @@ let or_die = function
   | Error msg ->
       Format.eprintf "tcsq: %s@." msg;
       exit 2
+
+(* The graph, query and method terms below fail through [or_die]: a bad
+   value is a "tcsq: <msg>" error with exit 2, not a Cmdliner usage
+   error. *)
+
+(* GRAPH or --dataset/--scale, loaded; [~file:false] is the dataset-only
+   variant *)
+let graph_term ~file =
+  let load path dataset scale =
+    if (not file) && dataset = None then or_die (Error "--dataset is required");
+    or_die (load_graph path dataset scale)
+  in
+  Term.(
+    const load
+    $ (if file then graph_file_arg else const None)
+    $ dataset_arg $ scale_arg)
+
+let graph = graph_term ~file:true
+
+(* the query flags as given; [query_of] turns them into a query *)
+type query_flags = {
+  match_ : string option;
+  pattern : string;
+  labels : string option;
+  window : string option;
+  window_frac : float option;
+  lasting : int option;
+}
+
+let query_flags_term ~lasting =
+  let flags match_ pattern labels window window_frac lasting =
+    { match_; pattern; labels; window; window_frac; lasting }
+  in
+  Term.(
+    const flags $ match_arg $ pattern_arg $ labels_arg $ window_arg
+    $ window_frac_arg $ lasting)
+
+let query_flags = query_flags_term ~lasting:lasting_arg
+
+let query_of f g =
+  apply_lasting_ext f.lasting
+    (or_die
+       (parse_query_or_match g f.match_ f.pattern f.labels f.window
+          f.window_frac))
+
+(* the query on the subcommand's graph, parsed only when applied *)
+let query = Term.(const query_of $ query_flags)
+
+let method_term =
+  let of_string s =
+    or_die
+      (Option.to_result
+         ~none:(Printf.sprintf "unknown method %S" s)
+         (Workload.Engine.method_of_string s))
+  in
+  Term.(const of_string $ method_arg)
 
 (* ---------- subcommands ---------- *)
 
@@ -203,27 +255,20 @@ let generate_cmd =
   let output =
     Arg.(value & opt string "graph.csv" & info [ "o"; "output" ] ~docv:"FILE")
   in
-  let run dataset scale output =
-    let g =
-      or_die
-        (match dataset with
-        | Some _ -> load_graph None dataset scale
-        | None -> Error "--dataset is required")
-    in
+  let run g output =
     if Filename.check_suffix output ".bin" then Tgraph.Binary_io.save g output
     else Tgraph.Io.save g output;
     Format.printf "wrote %a to %s@." Tgraph.Graph.pp_summary g output
   in
   Cmd.v (Cmd.info "generate" ~doc:"Generate a synthetic dataset as CSV.")
-    Term.(const run $ dataset_arg $ scale_arg $ output)
+    Term.(const run $ graph_term ~file:false $ output)
 
 let stats_cmd =
-  let run file dataset scale =
-    let g = or_die (load_graph file dataset scale) in
+  let run g =
     Format.printf "%a@." Tgraph.Stats.pp (Tgraph.Stats.compute g)
   in
   Cmd.v (Cmd.info "stats" ~doc:"Describe a temporal graph.")
-    Term.(const run $ graph_file_arg $ dataset_arg $ scale_arg)
+    Term.(const run $ graph)
 
 let query_cmd =
   let count_only =
@@ -244,22 +289,11 @@ let query_cmd =
             "Intermediate-tuple budget; a run that exhausts it stops with \
              a truncation note instead of an error.")
   in
-  let run file dataset scale match_ pattern labels window window_frac lasting
-      method_ limit domains budget count_only format =
-    let g = or_die (load_graph file dataset scale) in
-    let q =
-      apply_lasting_ext lasting
-        (or_die (parse_query_or_match g match_ pattern labels window window_frac))
-    in
+  let run g q m limit domains budget count_only format =
+    let q = q g in
     (* a COUNT query is --count spelled in the language *)
     let count_only =
       count_only || Semantics.Equery.agg q = Some Semantics.Equery.Count
-    in
-    let m =
-      or_die
-        (match Workload.Engine.method_of_string method_ with
-        | Some m -> Ok m
-        | None -> Error (Printf.sprintf "unknown method %S" method_))
     in
     let engine = Workload.Engine.prepare g in
     let stats =
@@ -311,10 +345,8 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query" ~doc:"Evaluate a temporal-clique subgraph query.")
     Term.(
-      const run $ graph_file_arg $ dataset_arg $ scale_arg $ match_arg
-      $ pattern_arg $ labels_arg $ window_arg $ window_frac_arg $ lasting_arg
-      $ method_arg $ limit_arg $ domains_arg $ budget_arg $ count_only
-      $ format_arg)
+      const run $ graph $ query $ method_term $ limit_arg $ domains_arg
+      $ budget_arg $ count_only $ format_arg)
 
 let profile_cmd =
   let trace_arg =
@@ -326,19 +358,8 @@ let profile_cmd =
             "Write the run's spans as Chrome trace-event JSON (schema \
              trace/v1), loadable in chrome://tracing or Perfetto.")
   in
-  let run file dataset scale match_ pattern labels window window_frac lasting
-      method_ domains trace_out =
-    let g = or_die (load_graph file dataset scale) in
-    let q =
-      apply_lasting_ext lasting
-        (or_die (parse_query_or_match g match_ pattern labels window window_frac))
-    in
-    let m =
-      or_die
-        (match Workload.Engine.method_of_string method_ with
-        | Some m -> Ok m
-        | None -> Error (Printf.sprintf "unknown method %S" method_))
-    in
+  let run g q m domains trace_out =
+    let q = q g in
     let engine = Workload.Engine.prepare g in
     let stats = Semantics.Run_stats.create () in
     let obs = Obs.Sink.create ~clock:Unix.gettimeofday () in
@@ -365,10 +386,7 @@ let profile_cmd =
          "Evaluate a query with phase-attributed tracing: prints a \
           per-phase time table (count, total, self, share of the run) \
           and optionally exports a Chrome trace.")
-    Term.(
-      const run $ graph_file_arg $ dataset_arg $ scale_arg $ match_arg
-      $ pattern_arg $ labels_arg $ window_arg $ window_frac_arg $ lasting_arg
-      $ method_arg $ domains_arg $ trace_arg)
+    Term.(const run $ graph $ query $ method_term $ domains_arg $ trace_arg)
 
 let parse_pivot_order s =
   let parts = String.split_on_char ',' (String.trim s) in
@@ -436,9 +454,7 @@ let explain_cmd =
              order, as a third candidate next to the cost-model and \
              adaptive plans.")
   in
-  let run file dataset scale match_ pattern labels window window_frac lasting
-      queries_file pivot_order json analyze =
-    let g = or_die (load_graph file dataset scale) in
+  let run g q queries_file pivot_order json analyze =
     let order =
       match pivot_order with
       | None -> None
@@ -463,13 +479,7 @@ let explain_cmd =
                             (Format.pp_print_list Analysis.Diagnostic.pp)
                             ds)))
               (read_statement_lines path)
-        | None ->
-            [
-              apply_lasting_ext lasting
-                (or_die
-                   (parse_query_or_match g match_ pattern labels window
-                      window_frac));
-            ])
+        | None -> [ q g ])
     in
     List.iter
       (fun q ->
@@ -498,9 +508,8 @@ let explain_cmd =
           bounds, the effective window, per-edge and per-TSRJoin-level \
           cardinality estimates, and the planner's ranking rationale.")
     Term.(
-      const run $ graph_file_arg $ dataset_arg $ scale_arg $ match_arg
-      $ pattern_arg $ labels_arg $ window_arg $ window_frac_arg $ lasting_arg
-      $ queries_arg $ pivot_order_arg $ json_arg $ analyze)
+      const run $ graph $ query $ queries_arg $ pivot_order_arg $ json_arg
+      $ analyze)
 
 let compare_cmd =
   let budget =
@@ -510,13 +519,8 @@ let compare_cmd =
       & info [ "budget" ] ~docv:"TUPLES"
           ~doc:"Per-method intermediate-tuple budget.")
   in
-  let run file dataset scale match_ pattern labels window window_frac lasting
-      budget =
-    let g = or_die (load_graph file dataset scale) in
-    let q =
-      apply_lasting_ext lasting
-        (or_die (parse_query_or_match g match_ pattern labels window window_frac))
-    in
+  let run g q budget =
+    let q = q g in
     let engine = Workload.Engine.prepare g in
     Format.printf "%-8s %10s %10s %14s %12s@." "method" "matches" "ms"
       "intermediate" "scanned";
@@ -548,20 +552,14 @@ let compare_cmd =
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Run one query under all four methods.")
-    Term.(
-      const run $ graph_file_arg $ dataset_arg $ scale_arg $ match_arg
-      $ pattern_arg $ labels_arg $ window_arg $ window_frac_arg $ lasting_arg
-      $ budget)
+    Term.(const run $ graph $ query $ budget)
 
 let topk_cmd =
   let k_arg =
     Arg.(value & opt int 10 & info [ "k" ] ~docv:"K" ~doc:"How many matches.")
   in
-  let run file dataset scale match_ pattern labels window window_frac k =
-    let g = or_die (load_graph file dataset scale) in
-    let eq =
-      or_die (parse_query_or_match g match_ pattern labels window window_frac)
-    in
+  let run g q k =
+    let eq = q g in
     let q =
       if Semantics.Equery.is_plain eq then Semantics.Equery.core eq
       else
@@ -583,8 +581,9 @@ let topk_cmd =
   Cmd.v
     (Cmd.info "topk" ~doc:"The k most durable matches of a query.")
     Term.(
-      const run $ graph_file_arg $ dataset_arg $ scale_arg $ match_arg
-      $ pattern_arg $ labels_arg $ window_arg $ window_frac_arg $ k_arg)
+      const run $ graph
+      $ (const query_of $ query_flags_term ~lasting:(const None))
+      $ k_arg)
 
 let reach_cmd =
   let src_arg =
@@ -604,8 +603,7 @@ let reach_cmd =
       & info [ "to" ] ~docv:"VERTEX"
           ~doc:"Also report the fastest journey duration to this vertex.")
   in
-  let run file dataset scale window window_frac src show to_ =
-    let g = or_die (load_graph file dataset scale) in
+  let run g window window_frac src show to_ =
     let window = or_die (parse_window g window window_frac) in
     let r = Tpath.Reachability.earliest_arrival ~window g ~src in
     Format.printf
@@ -636,8 +634,8 @@ let reach_cmd =
          "Time-respecting reachability (earliest arrival) from a vertex — \
           the contrast query class to temporal cliques.")
     Term.(
-      const run $ graph_file_arg $ dataset_arg $ scale_arg $ window_arg
-      $ window_frac_arg $ src_arg $ show_arg $ to_arg)
+      const run $ graph $ window_arg $ window_frac_arg $ src_arg $ show_arg
+      $ to_arg)
 
 let suite_cmd =
   let file_arg =
@@ -647,20 +645,8 @@ let suite_cmd =
       & info [ "queries" ] ~docv:"FILE"
           ~doc:"Workload file: one query-language statement per line.")
   in
-  let run file dataset scale queries_file method_ =
-    let g = or_die (load_graph file dataset scale) in
-    let m =
-      or_die
-        (match Workload.Engine.method_of_string method_ with
-        | Some m -> Ok m
-        | None -> Error (Printf.sprintf "unknown method %S" method_))
-    in
-    let queries =
-      or_die
-        (match Workload.Suite.load g queries_file with
-        | Ok qs -> Ok qs
-        | Error e -> Error e)
-    in
+  let run g queries_file m =
+    let queries = or_die (Workload.Suite.load g queries_file) in
     let engine = Workload.Engine.prepare g in
     Format.printf "running %d queries with %s@." (List.length queries)
       (Workload.Engine.method_name m);
@@ -670,9 +656,7 @@ let suite_cmd =
   in
   Cmd.v
     (Cmd.info "run-suite" ~doc:"Execute a saved workload file and report timings.")
-    Term.(
-      const run $ graph_file_arg $ dataset_arg $ scale_arg $ file_arg
-      $ method_arg)
+    Term.(const run $ graph $ file_arg $ method_term)
 
 let lint_cmd =
   let json_arg =
@@ -711,9 +695,7 @@ let lint_cmd =
             | _ -> [])
         | _ -> [])
   in
-  let run file dataset scale match_ pattern labels window window_frac lasting
-      queries_file pivot_order json =
-    let g = or_die (load_graph file dataset scale) in
+  let run g f queries_file pivot_order json =
     let order =
       match pivot_order with
       | None -> None
@@ -730,13 +712,13 @@ let lint_cmd =
               (line, q, ds))
             (read_statement_lines path)
       | None -> (
-          let window_diags = raw_window_diags window in
+          let window_diags = raw_window_diags f.window in
           if window_diags <> [] then [ ("<window>", None, window_diags) ]
           else
-            match match_ with
+            match f.match_ with
             | Some text ->
                 let default_window =
-                  match parse_window g window window_frac with
+                  match parse_window g f.window f.window_frac with
                   | Ok w -> Some w
                   | Error _ -> None
                 in
@@ -746,8 +728,10 @@ let lint_cmd =
                 [ (text, q, ds) ]
             | None ->
                 let q =
-                  apply_lasting lasting
-                    (or_die (parse_query g pattern labels window window_frac))
+                  apply_lasting f.lasting
+                    (or_die
+                       (parse_query g f.pattern f.labels f.window
+                          f.window_frac))
                 in
                 [ (Semantics.Qlang.render g q,
                    Some (Semantics.Equery.plain q),
@@ -808,9 +792,8 @@ let lint_cmd =
          "Statically analyze queries (and their plans) without executing \
           them: exit 0 clean, 1 warnings, 2 errors.")
     Term.(
-      const run $ graph_file_arg $ dataset_arg $ scale_arg $ match_arg
-      $ pattern_arg $ labels_arg $ window_arg $ window_frac_arg $ lasting_arg
-      $ queries_arg $ pivot_order_arg $ json_arg)
+      const run $ graph $ query_flags $ queries_arg $ pivot_order_arg
+      $ json_arg)
 
 let socket_arg =
   let doc = "Unix-domain socket path of the query server." in
@@ -911,10 +894,9 @@ let serve_cmd =
              executions poison a cached plan and trigger an adaptive \
              re-plan (the P009/P010 threshold).")
   in
-  let run file dataset scale socket workers queue deadline_ms limit domains
-      trace_dir trace_sample query_log slow_ms qlog_sample plan_cache_size
+  let run g socket workers queue deadline_ms limit domains trace_dir
+      trace_sample query_log slow_ms qlog_sample plan_cache_size
       replan_threshold =
-    let g = or_die (load_graph file dataset scale) in
     let engine = Workload.Engine.prepare g in
     let config =
       {
@@ -953,8 +935,7 @@ let serve_cmd =
           and its indexes are built once, then newline-delimited JSON \
           requests are answered until a shutdown request arrives.")
     Term.(
-      const run $ graph_file_arg $ dataset_arg $ scale_arg $ socket_arg
-      $ workers_arg $ queue_arg $ deadline_arg $ serve_limit_arg $ domains_arg
+      const run $ graph $ socket_arg $ workers_arg $ queue_arg $ deadline_arg $ serve_limit_arg $ domains_arg
       $ trace_dir_arg $ trace_sample_arg $ query_log_arg $ slow_ms_arg
       $ qlog_sample_arg $ plan_cache_size_arg $ replan_threshold_arg)
 
@@ -1038,14 +1019,8 @@ let client_cmd =
             "After sending the requests, keep reading frames and print \
              each one, exiting after N pushed delta notifications.")
   in
-  let run socket match_ method_ deadline_ms limit count_only metrics prom ping
+  let run socket match_ m deadline_ms limit count_only metrics prom ping
       shutdown stdin_mode top subscribe window_width watch =
-    let m =
-      or_die
-        (match Workload.Engine.method_of_string method_ with
-        | Some m -> Ok m
-        | None -> Error (Printf.sprintf "unknown method %S" method_))
-    in
     let client =
       try Tcsq_server.Client.connect socket
       with Unix.Unix_error (e, _, _) ->
@@ -1174,7 +1149,7 @@ let client_cmd =
           response line; exits nonzero if any response is an error or \
           an overload shed.")
     Term.(
-      const run $ socket_arg $ match_arg $ method_arg $ deadline_arg
+      const run $ socket_arg $ match_arg $ method_term $ deadline_arg
       $ limit_arg $ count_flag $ metrics_flag $ prom_flag $ ping_flag
       $ shutdown_flag $ stdin_flag $ top_arg $ subscribe_arg
       $ window_width_arg $ watch_arg)

@@ -34,9 +34,5 @@ let compare a b =
   let c = Int.compare a.ts b.ts in
   if c <> 0 then c else Int.compare a.te b.te
 
-let compare_by_end a b =
-  let c = Int.compare a.te b.te in
-  if c <> 0 then c else Int.compare a.ts b.ts
-
 let pp fmt i = Format.fprintf fmt "[%d, %d]" i.ts i.te
 let to_string i = Printf.sprintf "[%d, %d]" i.ts i.te

@@ -56,9 +56,6 @@ val compare : t -> t -> int
 (** Lexicographic order on (start, end); the order used by every
     start-sorted temporal relation in the system. *)
 
-val compare_by_end : t -> t -> int
-(** Lexicographic order on (end, start); the order of active lists. *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints as ["[ts, te]"]. *)
 

@@ -66,15 +66,7 @@ let test_interval_compare () =
   Alcotest.(check (list interval))
     "start then end"
     [ Interval.make 1 2; Interval.make 1 9; Interval.make 3 4 ]
-    sorted;
-  let by_end =
-    List.sort Interval.compare_by_end
-      [ Interval.make 1 9; Interval.make 3 4; Interval.make 0 4 ]
-  in
-  Alcotest.(check (list interval))
-    "end then start"
-    [ Interval.make 0 4; Interval.make 3 4; Interval.make 1 9 ]
-    by_end
+    sorted
 
 (* property: intersect is the largest interval contained in both *)
 let prop_intersect_sound =
