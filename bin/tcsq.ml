@@ -585,58 +585,6 @@ let topk_cmd =
       $ (const query_of $ query_flags_term ~lasting:(const None))
       $ k_arg)
 
-let reach_cmd =
-  let src_arg =
-    Arg.(
-      required
-      & opt (some int) None
-      & info [ "from" ] ~docv:"VERTEX" ~doc:"Source vertex.")
-  in
-  let show_arg =
-    Arg.(value & opt int 10 & info [ "show" ] ~docv:"N"
-           ~doc:"Print journeys to the first N reachable vertices.")
-  in
-  let to_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "to" ] ~docv:"VERTEX"
-          ~doc:"Also report the fastest journey duration to this vertex.")
-  in
-  let run g window window_frac src show to_ =
-    let window = or_die (parse_window g window window_frac) in
-    let r = Tpath.Reachability.earliest_arrival ~window g ~src in
-    Format.printf
-      "%d of %d vertices reachable from %d within %s (time-respecting)@."
-      (Tpath.Reachability.reachable_count r)
-      (Tgraph.Graph.n_vertices g) src
-      (Temporal.Interval.to_string window);
-    let shown = ref 0 in
-    let v = ref 0 in
-    while !shown < show && !v < Tgraph.Graph.n_vertices g do
-      (match Tpath.Reachability.journey_to r !v with
-      | Some j ->
-          incr shown;
-          Format.printf "  to %d: %a@." !v Tpath.Journey.pp j
-      | None -> ());
-      incr v
-    done;
-    match to_ with
-    | None -> ()
-    | Some dst -> (
-        match Tpath.Reachability.fastest_duration ~window g ~src ~dst with
-        | Some d -> Format.printf "fastest journey %d -> %d: %d ticks@." src dst d
-        | None -> Format.printf "no journey %d -> %d inside the window@." src dst)
-  in
-  Cmd.v
-    (Cmd.info "reach"
-       ~doc:
-         "Time-respecting reachability (earliest arrival) from a vertex — \
-          the contrast query class to temporal cliques.")
-    Term.(
-      const run $ graph $ window_arg $ window_frac_arg $ src_arg $ show_arg
-      $ to_arg)
-
 let suite_cmd =
   let file_arg =
     Arg.(
@@ -747,7 +695,7 @@ let lint_cmd =
               | Some q ->
                   (text, Some q,
                    ds
-                   @ Analysis.Lint.check_pivot_order target
+                   @ Analysis.Lint.check_pivot_order
                        (Semantics.Equery.core q) order)
               | None -> (text, None, ds))
             reports
@@ -887,7 +835,8 @@ let serve_cmd =
   in
   let replan_threshold_arg =
     Arg.(
-      value & opt float 16.0
+      value
+      & opt float Analysis.Explain.misestimation_threshold
       & info [ "replan-threshold" ] ~docv:"FACTOR"
           ~doc:
             "Worst-level misestimation factor beyond which consecutive \
@@ -1293,7 +1242,7 @@ let main =
   Cmd.group (Cmd.info "tcsq" ~version:"1.0.0" ~doc)
     [
       datasets_cmd; generate_cmd; stats_cmd; query_cmd; profile_cmd;
-      explain_cmd; compare_cmd; topk_cmd; reach_cmd; suite_cmd; lint_cmd;
+      explain_cmd; compare_cmd; topk_cmd; suite_cmd; lint_cmd;
       serve_cmd; client_cmd; fuzz_cmd;
     ]
 

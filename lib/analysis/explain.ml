@@ -186,6 +186,10 @@ let pp ~label_names fmt t =
 
 let misestimation_threshold = 16.0
 
+let misestimation_factor est actual =
+  let e = Float.max est 1.0 and a = Float.max actual 1.0 in
+  Float.max e a /. Float.min e a
+
 type level_row = {
   level : int;
   pivot : int;
@@ -206,10 +210,6 @@ type analyzed = {
   analyze_diags : Diagnostic.t list;  (* P009 + P010 *)
   replan : replan option;  (* calibrated re-plan, when P009 fired *)
 }
-
-let misest_factor est actual =
-  let e = Float.max est 1.0 and a = Float.max (float_of_int actual) 1.0 in
-  Float.max e a /. Float.min e a
 
 (* Execute the chosen candidate's plan — the same plan the static table
    above estimated, over the same effective window — and line the
@@ -242,7 +242,8 @@ let run_analyze target t =
                      pivot = se.Selectivity.pivot;
                      est_cumulative = se.Selectivity.cumulative;
                      actual;
-                     factor = misest_factor se.Selectivity.cumulative actual;
+                     factor = misestimation_factor se.Selectivity.cumulative
+                         (float_of_int actual);
                    })
                  chosen.est.Selectivity.steps)
           in

@@ -58,7 +58,15 @@ val analyze : ?pivot_order:int list -> Lint.target -> Semantics.Query.t -> t
 val misestimation_threshold : float
 (** 16.0: a level whose estimated and measured intermediate
     cardinalities differ by more than this factor (either direction) is
-    flagged [P009]. *)
+    flagged [P009]. The plan cache's re-plan trigger and the server's
+    [--replan-threshold] default to it too. *)
+
+val misestimation_factor : float -> float -> float
+(** [misestimation_factor est actual]: the symmetric est-vs-actual
+    factor, [max / min] with both sides floored at 1 — always [>= 1],
+    direction-agnostic, finite on a true-zero level. [P009], the plan
+    cache's re-plan decision and the query log's [misestimation] all
+    use it. *)
 
 type level_row = {
   level : int;

@@ -24,15 +24,11 @@ let check_equery t eq =
     @ Ext_check.check ~env:t.env eq
     @ (Bound.analyze ~allen:(Semantics.Equery.allen eq) ~env:t.env q)
         .Bound.diagnostics
-    @ Plan_check.check (Plan.build ~cost:t.cost t.tai q)
-    @ Plan_check.check (Plan.build_adaptive ~cost:t.cost t.tai q)
 
 let check_query t q = check_equery t (Semantics.Equery.plain q)
 
-let check_pivot_order t q order =
-  let ds = Query_check.check ~env:t.env q in
-  if Diagnostic.has_errors ds then ds
-  else ds @ Plan_check.check (Plan.of_pivot_order_unchecked q order)
+let check_pivot_order q order =
+  Plan_check.check (Plan.of_pivot_order_unchecked q order)
 
 let check_text ?default_window t text =
   match Semantics.Qlang.parse text with

@@ -1,8 +1,9 @@
-(** The lint driver behind [tcsq lint] and the engine's admission check:
-    query semantic analysis, then — when the query is error-free — plan
-    invariant analysis over every planner ({!Tcsq_core.Plan.build},
-    {!Tcsq_core.Plan.build_adaptive}, and, on request, an explicit pivot
-    order). *)
+(** The lint driver behind [tcsq lint], the engine's admission check
+    and the conformance harness's analyzer cross-check: query semantic
+    analysis, then — when the query is error-free — clause checks and
+    constraint propagation. Plans are checked where they run, against
+    all seven [P001]–[P007] rules of {!Tcsq_core.Plan.validate}; here
+    only an explicit pivot order's literal plan is. *)
 
 type target
 (** A graph prepared for linting: TAI, cost model and query-check env. *)
@@ -17,21 +18,19 @@ val cost : target -> Tcsq_core.Plan.cost_model
 
 val check_query : target -> Semantics.Query.t -> Diagnostic.t list
 (** {!Query_check.check} plus, when it reports no [Error],
-    {!Bound.analyze}'s propagation diagnostics and plan checks on the
-    cost-model plan and the adaptive plan. *)
+    {!Bound.analyze}'s propagation diagnostics. *)
 
 val check_equery : target -> Semantics.Equery.t -> Diagnostic.t list
 (** Like {!check_query} over the core pattern, adding {!Ext_check}'s
     clause diagnostics and feeding the Allen constraints into
     {!Bound.analyze}. [check_query q] = [check_equery (Equery.plain q)]. *)
 
-val check_pivot_order :
-  target -> Semantics.Query.t -> int list -> Diagnostic.t list
-(** Lints the {e literal} plan induced by the pivot order
-    ({!Tcsq_core.Plan.of_pivot_order_unchecked}): pivots are taken in
-    the given order without the safe planner's bound-first repair, so a
-    wrong order surfaces as [P002]/[P004] diagnostics instead of being
-    silently fixed. *)
+val check_pivot_order : Semantics.Query.t -> int list -> Diagnostic.t list
+(** {!Plan_check.check} on the {e literal} plan induced by the pivot
+    order ({!Tcsq_core.Plan.of_pivot_order_unchecked}): pivots are taken
+    in the given order without the safe planner's bound-first repair, so
+    a wrong order surfaces as [P002]/[P004] diagnostics instead of being
+    silently fixed. Query diagnostics are {!check_query}'s job. *)
 
 val check_text :
   ?default_window:Temporal.Interval.t ->

@@ -1,95 +1,22 @@
-open Semantics
 open Tcsq_core
 
-let check (p : Plan.t) =
-  let q = Plan.query p in
-  let n_edges = Query.n_edges q in
-  let n_vars = Query.n_vars q in
-  let matched = Array.make n_edges 0 in
-  let bound = Array.make n_vars false in
-  let out = ref [] in
-  let add d = out := d :: !out in
-  Array.iteri
-    (fun si (step : Plan.step) ->
-      if Array.length step.edges = 0 then
-        add
-          (Diagnostic.make ~code:"P001" ~severity:Error ~location:(Step si)
-             "step %d at pivot x%d matches no query edge" si step.pivot);
-      let pivot_in_range = step.pivot >= 0 && step.pivot < n_vars in
-      if pivot_in_range then begin
-        if step.produce_binding && bound.(step.pivot) then
-          add
-            (Diagnostic.make ~code:"P003" ~severity:Error ~location:(Step si)
-               "step %d sets produce_binding on pivot x%d, which an earlier \
-                step already bound (leapfrog roots must be fresh)"
-               si step.pivot)
-        else if (not step.produce_binding) && not bound.(step.pivot) then
-          add
-            (Diagnostic.make ~code:"P002" ~severity:Error ~location:(Step si)
-               "step %d uses pivot x%d before any earlier step binds it" si
-               step.pivot)
-      end
-      else
-        add
-          (Diagnostic.make ~code:"P002" ~severity:Error ~location:(Step si)
-             "step %d pivot x%d is not a query variable (query has %d)" si
-             step.pivot n_vars);
-      Array.iter
-        (fun (e : Query.edge) ->
-          if e.idx < 0 || e.idx >= n_edges then
-            add
-              (Diagnostic.make ~code:"P007" ~severity:Error
-                 ~location:(Step si)
-                 "step %d matches edge index %d, outside the query's %d \
-                  edges"
-                 si e.idx n_edges)
-          else begin
-            let qe = Query.edge q e.idx in
-            if
-              (qe.lbl, qe.src_var, qe.dst_var) <> (e.lbl, e.src_var, e.dst_var)
-            then
-              add
-                (Diagnostic.make ~code:"P007" ~severity:Error
-                   ~location:(Step si)
-                   "step %d edge %d disagrees with the query's edge table \
-                    (plan has l%d(x%d,x%d), query has l%d(x%d,x%d))"
-                   si e.idx e.lbl e.src_var e.dst_var qe.lbl qe.src_var
-                   qe.dst_var);
-            matched.(e.idx) <- matched.(e.idx) + 1;
-            if e.src_var >= 0 && e.src_var < n_vars then
-              bound.(e.src_var) <- true;
-            if e.dst_var >= 0 && e.dst_var < n_vars then
-              bound.(e.dst_var) <- true;
-            if
-              pivot_in_range && e.src_var <> step.pivot
-              && e.dst_var <> step.pivot
-            then
-              add
-                (Diagnostic.make ~code:"P006" ~severity:Error
-                   ~location:(Step si)
-                   "step %d matches edge %d (x%d->x%d), which is not \
-                    incident to pivot x%d"
-                   si e.idx e.src_var e.dst_var step.pivot)
-          end)
-        step.edges;
-      if pivot_in_range then bound.(step.pivot) <- true)
-    (Plan.steps p);
-  Array.iteri
-    (fun i c ->
-      if c = 0 then
-        add
-          (Diagnostic.make ~code:"P004" ~severity:Error ~location:(Edge i)
-             "query edge %d is never matched by the plan (deferred but never \
-              picked up?)"
-             i)
-      else if c > 1 then
-        add
-          (Diagnostic.make ~code:"P005" ~severity:Error ~location:(Edge i)
-             "query edge %d is matched %d times; plans must match each edge \
-              exactly once"
-             i c))
-    matched;
-  List.rev !out
+let code = function
+  | Plan.Empty_step -> "P001"
+  | Unbound_pivot -> "P002"
+  | Bound_root -> "P003"
+  | Unmatched_edge -> "P004"
+  | Rematched_edge -> "P005"
+  | Detached_edge -> "P006"
+  | Foreign_edge -> "P007"
 
-let check_result p =
-  match check p with [] -> Ok () | d :: _ -> Error (Diagnostic.to_string d)
+let check p =
+  List.map
+    (fun (v : Plan.violation) ->
+      let location =
+        match v.site with
+        | Plan.At_step i -> Diagnostic.Step i
+        | At_edge i -> Edge i
+      in
+      Diagnostic.make ~code:(code v.rule) ~severity:Error ~location "%s"
+        v.message)
+    (Plan.violations p)

@@ -1,12 +1,8 @@
 (** Pass 2: plan invariant analysis.
 
-    Subsumes {!Tcsq_core.Plan.validate} with structured, per-step
-    diagnostics. A clean plan satisfies: every query edge matched
-    exactly once (so adaptive deferred edges are eventually matched),
-    every step matches at least one edge, each step's edges are incident
-    to its pivot and agree with the query's edge table, non-root pivots
-    are bound by an earlier step, and [produce_binding] is set exactly
-    on component roots (pivots unbound when their step runs).
+    Reports {!Tcsq_core.Plan.violations} — the rule set
+    {!Tcsq_core.Plan.validate} enforces before execution — as
+    diagnostics located at a step or a query edge.
 
     Codes (all [Error]):
     - [P001] step matches no query edge
@@ -19,7 +15,3 @@
 
 val check : Tcsq_core.Plan.t -> Diagnostic.t list
 (** Diagnostics in step order, then unmatched-edge order. *)
-
-val check_result : Tcsq_core.Plan.t -> (unit, string) result
-(** [Error] carries the first diagnostic rendered — a drop-in for
-    {!Tcsq_core.Plan.validate} call sites. *)

@@ -153,17 +153,15 @@ let check_analyzer cache (case : Case.t) ~naive_count =
   let ( let* ) = Result.bind in
   let c = ctx_for cache case.Case.graph in
   let eng = Runner.engine c in
-  let tai = Workload.Engine.tai eng in
-  let cost = Tcsq_core.Plan.cost_model tai in
-  let env = Analysis.Query_check.env_of_graph case.Case.graph in
+  let target = Workload.Engine.target eng in
+  let tai = Analysis.Lint.tai target and cost = Analysis.Lint.cost target in
   let eq = case.Case.query in
   let q = Equery.core eq in
-  let bound = Analysis.Bound.analyze ~allen:(Equery.allen eq) ~env q in
-  let diags =
-    Analysis.Query_check.check ~env q
-    @ Analysis.Ext_check.check ~env eq
-    @ bound.Analysis.Bound.diagnostics
+  let bound =
+    Analysis.Bound.analyze ~allen:(Equery.allen eq)
+      ~env:(Analysis.Lint.env target) q
   in
+  let diags = Analysis.Lint.check_equery target eq in
   (* constraint-propagation soundness: a query flagged unsatisfiable
      must never match under the oracle (covers the no-diagnostic unsat
      cases — e.g. a label with no edges — that Q011 does not restate) *)

@@ -418,38 +418,97 @@ let of_pivot_order_unchecked q order =
     order;
   finish sim
 
-let validate p =
+type rule =
+  | Empty_step
+  | Unbound_pivot
+  | Bound_root
+  | Unmatched_edge
+  | Rematched_edge
+  | Detached_edge
+  | Foreign_edge
+
+type site = At_step of int | At_edge of int
+type violation = { rule : rule; site : site; message : string }
+
+let violations p =
   let q = p.query in
-  let matched = Array.make (Query.n_edges q) 0 in
-  let bound = Array.make (Query.n_vars q) false in
-  let problem = ref None in
-  Array.iter
-    (fun step ->
-      if Array.length step.edges = 0 && !problem = None then
-        problem := Some (Printf.sprintf "step at pivot %d matches no edge" step.pivot);
-      if (not step.produce_binding) && (not bound.(step.pivot)) && !problem = None
-      then
-        problem :=
-          Some
-            (Printf.sprintf "pivot %d used before being bound" step.pivot);
+  let n_edges = Query.n_edges q and n_vars = Query.n_vars q in
+  let matched = Array.make n_edges 0 in
+  let bound = Array.make n_vars false in
+  let out = ref [] in
+  let add rule site fmt =
+    Printf.ksprintf (fun message -> out := { rule; site; message } :: !out) fmt
+  in
+  Array.iteri
+    (fun si step ->
+      let at = At_step si in
+      if Array.length step.edges = 0 then
+        add Empty_step at "step %d at pivot x%d matches no query edge" si
+          step.pivot;
+      let pivot_in_range = step.pivot >= 0 && step.pivot < n_vars in
+      if not pivot_in_range then
+        add Unbound_pivot at
+          "step %d pivot x%d is not a query variable (query has %d)" si
+          step.pivot n_vars
+      else if step.produce_binding && bound.(step.pivot) then
+        add Bound_root at
+          "step %d sets produce_binding on pivot x%d, which an earlier step \
+           already bound (leapfrog roots must be fresh)"
+          si step.pivot
+      else if (not step.produce_binding) && not bound.(step.pivot) then
+        add Unbound_pivot at
+          "step %d uses pivot x%d before any earlier step binds it" si
+          step.pivot;
       Array.iter
-        (fun e ->
-          matched.(e.Query.idx) <- matched.(e.Query.idx) + 1;
-          bound.(e.Query.src_var) <- true;
-          bound.(e.Query.dst_var) <- true)
+        (fun (e : Query.edge) ->
+          if e.idx < 0 || e.idx >= n_edges then
+            add Foreign_edge at
+              "step %d matches edge index %d, outside the query's %d edges" si
+              e.idx n_edges
+          else begin
+            let qe = Query.edge q e.idx in
+            if qe.lbl <> e.lbl || qe.src_var <> e.src_var
+               || qe.dst_var <> e.dst_var
+            then
+              add Foreign_edge at
+                "step %d edge %d disagrees with the query's edge table (plan \
+                 has l%d(x%d,x%d), query has l%d(x%d,x%d))"
+                si e.idx e.lbl e.src_var e.dst_var qe.lbl qe.src_var
+                qe.dst_var;
+            matched.(e.idx) <- matched.(e.idx) + 1;
+            if e.src_var >= 0 && e.src_var < n_vars then
+              bound.(e.src_var) <- true;
+            if e.dst_var >= 0 && e.dst_var < n_vars then
+              bound.(e.dst_var) <- true;
+            if
+              pivot_in_range && e.src_var <> step.pivot
+              && e.dst_var <> step.pivot
+            then
+              add Detached_edge at
+                "step %d matches edge %d (x%d->x%d), which is not incident \
+                 to pivot x%d"
+                si e.idx e.src_var e.dst_var step.pivot
+          end)
         step.edges;
-      bound.(step.pivot) <- true)
+      if pivot_in_range then bound.(step.pivot) <- true)
     p.steps;
-  (match !problem with
-  | None ->
-      Array.iteri
-        (fun i c ->
-          if c <> 1 && !problem = None then
-            problem :=
-              Some (Printf.sprintf "query edge %d matched %d times" i c))
-        matched
-  | Some _ -> ());
-  match !problem with None -> Ok () | Some msg -> Error msg
+  Array.iteri
+    (fun i c ->
+      if c = 0 then
+        add Unmatched_edge (At_edge i)
+          "query edge %d is never matched by the plan (deferred but never \
+           picked up?)"
+          i
+      else if c > 1 then
+        add Rematched_edge (At_edge i)
+          "query edge %d is matched %d times; plans must match each edge \
+           exactly once"
+          i c)
+    matched;
+  List.rev !out
+
+let validate p =
+  match violations p with [] -> Ok () | v :: _ -> Error v.message
 
 let pp fmt p =
   Format.fprintf fmt "@[<v>plan:";

@@ -110,9 +110,8 @@ val of_pivot_order : Semantics.Query.t -> int list -> t
 
 val of_steps_unchecked : Semantics.Query.t -> step array -> t
 (** Assembles a plan from raw steps with {e no} invariant checking — for
-    the static analyzer's tests (hand-corrupted plans) only. Executing
-    an invalid plan produces wrong answers; run
-    [Analysis.Plan_check.check] (or {!validate}) first. *)
+    the static analyzer's tests (hand-corrupted plans) only. {!validate}
+    rejects an invalid plan, and execution runs it first. *)
 
 val of_pivot_order_unchecked : Semantics.Query.t -> int list -> t
 (** The {e literal} reading of a pivot order: pivots are applied exactly
@@ -124,8 +123,36 @@ val of_pivot_order_unchecked : Semantics.Query.t -> int list -> t
     CLI/test vehicle for exercising plan diagnostics ([tcsq lint
     --pivot-order]). *)
 
+(** {2 Plan invariants}
+
+    The one rule set every executed plan passes; [Analysis.Plan_check]
+    reports the same violations as [P001]–[P007] diagnostics. *)
+
+type rule =
+  | Empty_step  (** P001: a step matches no query edge *)
+  | Unbound_pivot
+      (** P002: a non-root pivot no earlier step binds, or a pivot that
+          is not a query variable *)
+  | Bound_root  (** P003: [produce_binding] on an already-bound pivot *)
+  | Unmatched_edge  (** P004: a query edge no step matches *)
+  | Rematched_edge  (** P005: a query edge matched more than once *)
+  | Detached_edge  (** P006: a step edge not incident to its pivot *)
+  | Foreign_edge
+      (** P007: a step edge outside or disagreeing with the query's edge
+          table *)
+
+type site = At_step of int | At_edge of int
+type violation = { rule : rule; site : site; message : string }
+
+val violations : t -> violation list
+(** Every violation, in step order, then unmatched-edge order. *)
+
 val validate : t -> (unit, string) result
-(** Checks plan invariants: every query edge matched exactly once, and
-    every non-root pivot bound by an earlier step. *)
+(** [Error] carries the first violation's message. A valid plan matches
+    every query edge exactly once (P004, P005); every step matches at
+    least one edge (P001), each incident to its pivot (P006) and equal
+    to the query's edge of that index (P007); a non-root pivot is bound
+    by an earlier step (P002); and [produce_binding] is set only on a
+    pivot no earlier step bound (P003). *)
 
 val pp : Format.formatter -> t -> unit

@@ -83,7 +83,10 @@ let lex input =
     else if c >= '0' && c <= '9' then begin
       let j = ref !i in
       while !j < n && input.[!j] >= '0' && input.[!j] <= '9' do incr j done;
-      push (Tint (int_of_string (String.sub input !i (!j - !i)))) at;
+      let digits = String.sub input !i (!j - !i) in
+      (match int_of_string_opt digits with
+      | Some v -> push (Tint v) at
+      | None -> fail at "integer literal %s is out of range" digits);
       i := !j
     end
     else if is_ident_char c then begin

@@ -49,7 +49,7 @@ type config = {
   plan_cache_size : int;
   (* worst-level symmetric est-vs-actual factor that counts an execution
      as misestimated for the cache's adaptive re-planning; the default
-     is the P009 threshold (16x) *)
+     is the P009 threshold, Explain.misestimation_threshold *)
   plan_cache_replan_threshold : float;
 }
 
@@ -71,7 +71,7 @@ let default_config ~socket_path =
     slow_ms = None;
     qlog_sample = 1.0;
     plan_cache_size = 256;
-    plan_cache_replan_threshold = 16.0;
+    plan_cache_replan_threshold = Analysis.Explain.misestimation_threshold;
   }
 
 type t = {
@@ -166,12 +166,6 @@ let finish_request t obs ~req_t0 ~seq =
 
 (* ---- structured query log ---- *)
 
-(* symmetric misestimation factor: >= 1, direction-agnostic; both sides
-   floored at 1 so a true-zero level does not divide by zero *)
-let misest_factor est actual =
-  let e = float_of_int (max est 1) and a = float_of_int (max actual 1) in
-  Float.max e a /. Float.min e a
-
 (* per-level est-vs-actual pairs and the per-query max factor; no
    factor when the query carried no estimate (non-TSRJoin methods) *)
 let levels_of_stats stats =
@@ -189,7 +183,10 @@ let levels_of_stats stats =
       Some
         (List.fold_left
            (fun m (l : Obs.Qlog.level) ->
-             Float.max m (misest_factor l.Obs.Qlog.est l.Obs.Qlog.actual))
+             Float.max m
+               (Analysis.Explain.misestimation_factor
+                  (float_of_int l.Obs.Qlog.est)
+                  (float_of_int l.Obs.Qlog.actual)))
            1.0 levels)
   in
   (levels, misest)

@@ -49,54 +49,46 @@ let slot_force s =
 
 type t = {
   graph : Tgraph.Graph.t;
-  tai : Tcsq_core.Tai.t;
-  cost : Tcsq_core.Plan.cost_model;
+  target : Analysis.Lint.target;
   adjacency : Triejoin.Adjacency.t slot;
   sti_index : Relops.Sti_index.t slot;
-  qenv : Analysis.Query_check.env;
 }
 
 let prepare graph =
-  let tai = Tcsq_core.Tai.build ~with_eci:true graph in
   {
     graph;
-    tai;
-    cost = Tcsq_core.Plan.cost_model tai;
+    target =
+      Analysis.Lint.target_of_tai (Tcsq_core.Tai.build ~with_eci:true graph);
     adjacency = slot_ready (Triejoin.Adjacency.build graph);
     sti_index = slot_ready (Relops.Sti_index.build graph);
-    qenv = Analysis.Query_check.env_of_graph graph;
   }
 
 (* The streaming-ingest constructor: adopts a TAI maintained by
    [Tcsq_core.Incremental] (one buffered [Tai.merge] per batch) instead
    of rebuilding it, and defers the Binary/Hybrid adjacency and the
    STI-CP index until a request actually needs them — the default
-   TSRJoin serve path never does, so per-batch engine refresh is a cost
-   model + analyzer env, not three index builds. *)
+   TSRJoin serve path never does, so per-batch engine refresh is a lint
+   target (cost model + analyzer env), not three index builds. *)
 let prepare_with_tai graph tai =
   {
     graph;
-    tai;
-    cost = Tcsq_core.Plan.cost_model tai;
+    target = Analysis.Lint.target_of_tai tai;
     adjacency = slot_deferred (fun () -> Triejoin.Adjacency.build graph);
     sti_index = slot_deferred (fun () -> Relops.Sti_index.build graph);
-    qenv = Analysis.Query_check.env_of_graph graph;
   }
 
 let graph t = t.graph
-let tai t = t.tai
+let target t = t.target
+let tai t = Analysis.Lint.tai t.target
+let cost t = Analysis.Lint.cost t.target
 
-(* plan invariant analysis guards the hot path: a planner bug surfaces
-   as a diagnostic here instead of as wrong answers *)
+(* unchecked: [Tsrjoin.run] validates every plan it executes, fresh or
+   cached *)
 let fresh_plan ?edge_scale t q =
-  let plan = Tcsq_core.Plan.build ~cost:t.cost ?edge_scale t.tai q in
-  (match Analysis.Plan_check.check_result plan with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Engine.run: invalid plan: " ^ msg));
-  plan
+  Tcsq_core.Plan.build ~cost:(cost t) ?edge_scale (tai t) q
 
 let selectivity_counters t plan =
-  let est = Analysis.Selectivity.estimate ~cost:t.cost t.tai plan in
+  let est = Analysis.Selectivity.estimate ~cost:(cost t) (tai t) plan in
   ( Analysis.Selectivity.intermediate_counter est,
     Analysis.Selectivity.level_counters est )
 
@@ -122,9 +114,9 @@ let record_estimate ?stats t plan =
 let set_source plan_source src =
   match plan_source with None -> () | Some r -> r := Some src
 
-(* Plan acquisition. Without a cache this is the original path: build +
-   invariant-check under [plan_select], estimates only when the caller
-   wants stats. With a cache, the lookup/store/feedback bookkeeping runs
+(* Plan acquisition. Without a cache this is the original path: build
+   under [plan_select], estimates only when the caller wants stats.
+   With a cache, the lookup/store/feedback bookkeeping runs
    under [plan_cache] and only actual planning work (miss or replan)
    under [plan_select] — so a hit's plan_select self-time is honestly
    ~0. Cached estimates are recorded from the entry without replaying
@@ -205,12 +197,12 @@ let run ?stats ?(obs = Obs.Sink.null) ?tsrjoin_config ?pool ?(domains = 1)
         (fun ~plan ~stats ->
           if domains <= 1 then
             Tcsq_core.Tsrjoin.run ?stats ~obs ?config:tsrjoin_config ~plan
-              t.tai q ~emit
+              (tai t) q ~emit
           else
             (* multicore is TSRJoin-only: root-binding independence is what
                makes the fan-out sound; the baselines stay single-domain *)
             Exec.Parallel.run ?pool ~domains ?stats ~obs ?config:tsrjoin_config
-              ~plan t.tai q ~emit)
+              ~plan (tai t) q ~emit)
   | Binary -> Relops.Binary.run ?stats (slot_force t.adjacency) q ~emit
   | Hybrid -> Relops.Hybrid.run ?stats (slot_force t.adjacency) q ~emit
   | Time -> Relops.Time_pipeline.run ?stats (slot_force t.sti_index) q ~emit
@@ -224,7 +216,7 @@ let evaluate ?stats ?(obs = Obs.Sink.null) ?tsrjoin_config ?pool ?(domains = 1)
       with_tsrjoin_plan ?plan_cache ?plan_source ?stats ~obs t q
         (fun ~plan ~stats ->
           Exec.Parallel.evaluate ?pool ~domains ?stats ~obs
-            ?config:tsrjoin_config ~plan t.tai q)
+            ?config:tsrjoin_config ~plan (tai t) q)
   | _ ->
       let acc = ref [] in
       run ?stats ~obs ?tsrjoin_config ?pool ~domains ?plan_cache ?plan_source
@@ -255,28 +247,12 @@ let ext_config tsrjoin_config eq =
       in
       Some { base with Tcsq_core.Tsrjoin.allen }
 
-let analyze_ext t method_ eq =
-  let q = Semantics.Equery.core eq in
-  let ds = Analysis.Query_check.check ~env:t.qenv q in
-  if Analysis.Diagnostic.has_errors ds then ds
-  else
-    let ds = ds @ Analysis.Ext_check.check ~env:t.qenv eq in
-    let ds =
-      ds
-      @ (Analysis.Bound.analyze ~allen:(Semantics.Equery.allen eq) ~env:t.qenv
-           q)
-          .Analysis.Bound.diagnostics
-    in
-    match method_ with
-    | Tsrjoin ->
-        ds
-        @ Analysis.Plan_check.check (Tcsq_core.Plan.build ~cost:t.cost t.tai q)
-    | Binary | Hybrid | Time -> ds
+let analyze_ext t _method eq = Analysis.Lint.check_equery t.target eq
 
 let tighten_ext t eq =
   let q =
-    Analysis.Bound.tighten ~allen:(Semantics.Equery.allen eq) ~env:t.qenv
-      (Semantics.Equery.core eq)
+    Analysis.Bound.tighten ~allen:(Semantics.Equery.allen eq)
+      ~env:(Analysis.Lint.env t.target) (Semantics.Equery.core eq)
   in
   Semantics.Equery.with_window eq (Semantics.Query.window q)
 
@@ -310,7 +286,7 @@ let run_ext ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache
       end
 
 let index_size_words t = function
-  | Tsrjoin -> Tcsq_core.Tai.size_words t.tai
+  | Tsrjoin -> Tcsq_core.Tai.size_words (tai t)
   | Binary | Hybrid -> Triejoin.Adjacency.size_words (slot_force t.adjacency)
   | Time -> Relops.Sti_index.size_words (slot_force t.sti_index)
 

@@ -25,10 +25,14 @@ val prepare_with_tai : Tgraph.Graph.t -> Tcsq_core.Tai.t -> t
     {!Tcsq_core.Incremental} / [Tai.merge]) instead of rebuilding it.
     The adjacency and STI-CP indexes are built lazily on first use
     (domain-safe), so refreshing an engine after an ingest batch costs
-    a cost model and an analyzer env, not three index builds. *)
+    a lint target, not three index builds. *)
 
 val graph : t -> Tgraph.Graph.t
 val tai : t -> Tcsq_core.Tai.t
+
+val target : t -> Analysis.Lint.target
+(** The engine's TAI with its cost model and analyzer env, built once by
+    {!prepare}/{!prepare_with_tai}. *)
 
 val run :
   ?stats:Semantics.Run_stats.t ->
@@ -46,9 +50,10 @@ val run :
 (** The optional arguments mean the same on every executor below.
 
     May raise {!Semantics.Run_stats.Limit_exceeded} under budgets. For
-    {!Tsrjoin} the freshly built plan is passed through
-    [Analysis.Plan_check] first; a planner bug raises
-    [Invalid_argument] instead of executing an invalid plan.
+    {!Tsrjoin}, {!Tcsq_core.Tsrjoin.run} checks every plan it executes,
+    fresh or cached, against all seven [P001]–[P007] rules of
+    {!Tcsq_core.Plan.validate}; a planner bug raises [Invalid_argument]
+    instead of executing an invalid plan.
 
     [domains > 1] (default 1) runs {!Tsrjoin} on [Exec.Parallel] —
     work-stealing over root bindings with merged stats/obs and global
@@ -117,12 +122,13 @@ val count :
 
 val analyze_ext :
   t -> method_ -> Semantics.Equery.t -> Analysis.Diagnostic.t list
-(** Static analysis against this engine's graph:
+(** {!Analysis.Lint.check_equery} against this engine's graph:
     {!Analysis.Query_check} on the core, {!Analysis.Ext_check} clause
     diagnostics (none for a plain query), and {!Analysis.Bound}'s
-    constraint propagation with the Allen constraints fed in; for
-    {!Tsrjoin} also plan invariant analysis of the cost-model plan.
-    Stops after {!Analysis.Query_check} when the core has errors. *)
+    constraint propagation with the Allen constraints fed in. Stops
+    after {!Analysis.Query_check} when the core has errors. The method
+    argument is unused: no plan is built here, since execution validates
+    the plan it runs. *)
 
 val tighten_ext : t -> Semantics.Equery.t -> Semantics.Equery.t
 (** {!Analysis.Bound.tighten} against this engine's graph, Allen-aware:

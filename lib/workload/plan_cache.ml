@@ -63,8 +63,9 @@ type t = {
   mutable replans : int;
 }
 
-let create ?(capacity = 256) ?(replan_threshold = 16.0) ?(replan_after = 2) ()
-    =
+let create ?(capacity = 256)
+    ?(replan_threshold = Analysis.Explain.misestimation_threshold)
+    ?(replan_after = 2) () =
   if capacity < 0 then invalid_arg "Plan_cache.create: negative capacity";
   if replan_threshold < 1.0 then
     invalid_arg "Plan_cache.create: replan_threshold must be >= 1";
@@ -255,18 +256,16 @@ let store t q ~plan ~est_intermediate ~est_levels =
               }))
   end
 
-(* symmetric misestimation factor, both sides floored at 1 — the same
-   definition as the server's qlog/P009 reporting *)
-let misest_factor est actual =
-  let e = float_of_int (max est 1) and a = float_of_int (max actual 1) in
-  Float.max e a /. Float.min e a
-
 let worst_factor est_levels levels =
   let n = max (Array.length est_levels) (Array.length levels) in
   let get a i = if i < Array.length a then a.(i) else 0 in
   let worst = ref 1.0 in
   for i = 0 to n - 1 do
-    worst := Float.max !worst (misest_factor (get est_levels i) (get levels i))
+    worst :=
+      Float.max !worst
+        (Analysis.Explain.misestimation_factor
+           (float_of_int (get est_levels i))
+           (float_of_int (get levels i)))
   done;
   !worst
 

@@ -125,8 +125,20 @@ let chain_query () = q [ (0, 0, 1); (1, 1, 2) ]
 let step pivot edges produce_binding =
   { Tcsq_core.Plan.pivot; edges = Array.of_list edges; produce_binding }
 
+(* each corrupted plan must also be refused where plans are enforced:
+   by [Plan.validate] and by the executor's guard *)
 let plan_codes query steps =
-  codes (Plan_check.check (Tcsq_core.Plan.of_steps_unchecked query (Array.of_list steps)))
+  let plan = Tcsq_core.Plan.of_steps_unchecked query (Array.of_list steps) in
+  (match Tcsq_core.Plan.validate plan with
+  | Ok () -> Alcotest.fail "Plan.validate accepted a corrupted plan"
+  | Error _ -> ());
+  (match
+     Tcsq_core.Tsrjoin.run ~plan (Tcsq_core.Tai.build (small_graph ())) query
+       ~emit:(fun _ -> ())
+   with
+  | () -> Alcotest.fail "Tsrjoin.run executed a corrupted plan"
+  | exception Invalid_argument _ -> ());
+  codes (Plan_check.check plan)
 
 let test_p001_empty_step () =
   let query = chain_query () in
@@ -439,7 +451,19 @@ let test_planners_produce_clean_plans () =
           match Tcsq_core.Plan.validate plan with
           | Ok () -> ()
           | Error msg -> Alcotest.failf "%s: validate rejected: %s" name msg)
-        plans)
+        plans;
+      (* literal pivot orders are often invalid: [validate] and
+         [Plan_check] must agree on every one *)
+      let n = Query.n_vars query in
+      List.iter
+        (fun order ->
+          let plan = Tcsq_core.Plan.of_pivot_order_unchecked query order in
+          Alcotest.(check bool)
+            "validate = Ok iff Plan_check is clean"
+            (Plan_check.check plan = [])
+            (Tcsq_core.Plan.validate plan = Ok ()))
+        [ List.init n Fun.id; List.init n (fun v -> n - 1 - v); [ n - 1 ];
+          [ 0; n - 1 ] ])
     (Testkit.query_pool ~n_labels:3 ~window:(window 0 39))
 
 let test_corrupted_pivot_order_rejected () =

@@ -64,10 +64,19 @@ let test_parse_errors () =
   fails "MATCH (x)-[a]->(y) trailing";
   fails "MATCH (x)-[a]->(y) IN [1, 2] extra"
 
+(* a literal past max_int is a syntax error at the literal, not an
+   escaping [Failure "int_of_string"] *)
 let test_error_positions () =
-  match Qlang.parse "MATCH (x)=[a]->(y)" with
-  | Ok _ -> Alcotest.fail "expected failure"
-  | Error e -> Alcotest.(check int) "position of '='" 9 e.Qlang.position
+  List.iter
+    (fun (input, what, position) ->
+      match Qlang.parse input with
+      | Ok _ -> Alcotest.failf "expected %S to fail" input
+      | Error e -> Alcotest.(check int) what position e.Qlang.position)
+    [
+      ("MATCH (x)=[a]->(y)", "position of '='", 9);
+      ( "MATCH (x)-[a]->(y) IN [0, 99999999999999999999]",
+        "position of the out-of-range literal", 26 );
+    ]
 
 let test_compile_resolves_labels () =
   let g = graph () in
