@@ -23,7 +23,7 @@ let domains_max = ref 8
 let csv_path : string option ref = ref None
 let csv_rows : string list ref = ref []
 let json_path : string option ref = ref None
-let json_rows : string list ref = ref []
+let json_rows : Obs.Json.t list ref = ref []
 let fmt = Format.std_formatter
 
 let csv_record ~tag meas =
@@ -44,15 +44,17 @@ let csv_flush () =
    method); schema "tcsq-bench/v1", documented in EXPERIMENTS.md. When a
    sink was active for the measurement its per-phase totals ride along
    as a "phases" object. *)
-let json_record ?obs ?raw ~experiment ~dataset ~pattern meas =
+let json_record ?obs ?(fields = []) ~experiment ~dataset ~pattern meas =
   if !json_path <> None then
     json_rows :=
-      Workload.Runner.measurement_to_json ?obs ?raw
-        ~extra:
-          [
-            ("experiment", experiment); ("dataset", dataset);
-            ("pattern", pattern);
-          ]
+      Workload.Runner.measurement_to_json ?obs
+        ~fields:
+          ([
+             ("experiment", Obs.Json.String experiment);
+             ("dataset", Obs.Json.String dataset);
+             ("pattern", Obs.Json.String pattern);
+           ]
+          @ fields)
         meas
       :: !json_rows
 
@@ -68,11 +70,15 @@ let json_flush () =
   | Some path ->
       let oc = open_out path in
       output_string oc
-        (Printf.sprintf
-           "{\"schema\": \"tcsq-bench/v1\", \"scale\": %g, \"n_queries\": %d, \
-            \"measurements\": [" !scale !n_queries);
-      output_string oc (String.concat ", " (List.rev !json_rows));
-      output_string oc "]}\n";
+        (Obs.Json.to_string
+           (Obs.Json.Obj
+              [
+                ("schema", Obs.Json.String "tcsq-bench/v1");
+                ("scale", Obs.Json.Sig (6, !scale));
+                ("n_queries", Obs.Json.Int !n_queries);
+                ("measurements", Obs.Json.List (List.rev !json_rows));
+              ]));
+      output_char oc '\n';
       close_out oc;
       Format.fprintf fmt "wrote %d JSON measurements to %s@."
         (List.length !json_rows) path
@@ -80,11 +86,7 @@ let json_flush () =
 let section title =
   Format.fprintf fmt "@.=== %s ===@." title
 
-let budget =
-  {
-    Runner.max_results_per_query = 100_000;
-    Runner.max_intermediate_per_query = 1_000_000;
-  }
+let limits = { Run_stats.max_results = 100_000; max_intermediate = 1_000_000 }
 
 let engines : (Tgraph.Dataset.name, Engine.t) Hashtbl.t = Hashtbl.create 8
 
@@ -218,7 +220,7 @@ let run_fig9 () =
           Array.iter
             (fun m ->
               let obs = bench_sink () in
-              let meas = Runner.run_method ~budget ~obs engine m queries in
+              let meas = Runner.run_method ~limits ~obs engine m queries in
               csv_record
                 ~tag:
                   (Printf.sprintf "fig9,%s,%s" (Tgraph.Dataset.to_string ds)
@@ -254,7 +256,7 @@ let run_fig10 () =
       Array.iter
         (fun m ->
           let obs = bench_sink () in
-          let meas = Runner.run_method ~budget ~obs engine m queries in
+          let meas = Runner.run_method ~limits ~obs engine m queries in
           json_record ~obs ~experiment:"fig10" ~dataset:"yellow"
             ~pattern:(Pattern.to_string shape) meas;
           Format.fprintf fmt " %13d%s" meas.Runner.total_intermediate
@@ -289,7 +291,7 @@ let run_fig11 () =
               Format.fprintf fmt "  %-8d" max_results;
               Array.iter
                 (fun m ->
-                  let meas = Runner.run_method ~budget engine m queries in
+                  let meas = Runner.run_method ~limits engine m queries in
                   Format.fprintf fmt " %10.2f%s"
                     (meas.Runner.mean_seconds *. 1000.0)
                     (if meas.Runner.n_truncated > 0 then "*" else " "))
@@ -325,7 +327,7 @@ let run_fig12_window () =
           else
             Array.iter
               (fun m ->
-                let meas = Runner.run_method ~budget engine m queries in
+                let meas = Runner.run_method ~limits engine m queries in
                 Format.fprintf fmt " %10.2f%s"
                   (meas.Runner.mean_seconds *. 1000.0)
                   (if meas.Runner.n_truncated > 0 then "*" else " "))
@@ -359,7 +361,7 @@ let run_fig12_size () =
           Format.fprintf fmt "  %-10d" n;
           Array.iter
             (fun m ->
-              let meas = Runner.run_method ~budget engine m queries in
+              let meas = Runner.run_method ~limits engine m queries in
               Format.fprintf fmt " %10.2f%s"
                 (meas.Runner.mean_seconds *. 1000.0)
                 (if meas.Runner.n_truncated > 0 then "*" else " "))
@@ -449,7 +451,7 @@ let run_ablation () =
       List.iter
         (fun (name, config) ->
           let meas =
-            Runner.run_method ~budget ~tsrjoin_config:config engine
+            Runner.run_method ~limits ~tsrjoin_config:config engine
               Engine.Tsrjoin queries
           in
           Format.fprintf fmt "%-12s %12.3f %14d@." name
@@ -480,15 +482,7 @@ let run_ablation_plan () =
             let t0 = Unix.gettimeofday () in
             List.iter
               (fun q ->
-                let stats =
-                  Run_stats.create
-                    ~limits:
-                      {
-                        Run_stats.max_results = budget.Runner.max_results_per_query;
-                        max_intermediate = budget.Runner.max_intermediate_per_query;
-                      }
-                    ()
-                in
+                let stats = Run_stats.create ~limits () in
                 try
                   Tcsq_core.Tsrjoin.run ~stats ~plan:(plan_of q) tai q
                     ~emit:(fun _ -> ())
@@ -627,11 +621,11 @@ let run_dynamic () =
         (fun (variant, meas) ->
           json_record ~experiment:"ingest" ~dataset:"yellow"
             ~pattern:"3-star"
-            ~raw:
+            ~fields:
               [
-                ("variant", Printf.sprintf "\"%s\"" variant);
-                ("batch_size", string_of_int size);
-                ("n_batches", string_of_int n_batches);
+                ("variant", Obs.Json.String variant);
+                ("batch_size", Obs.Json.Int size);
+                ("n_batches", Obs.Json.Int n_batches);
               ]
             meas)
         [ ("incremental", inc_meas); ("rebuild", reb_meas) ])
@@ -696,7 +690,7 @@ let run_multiwindow () =
 
 (* Domain-scaling bench: the full engine path (Runner -> Engine ->
    Exec.Parallel) at 1/2/4/... domains, per workload; every sweep point
-   lands in the --json output tagged experiment="parallel" with raw
+   lands in the --json output tagged experiment="parallel" with
    numeric cores/domains fields, plus speedup_vs_1 where the point has
    a core per domain (past that, domains time-share cores and the ratio
    measures oversubscription, not scaling). *)
@@ -725,7 +719,7 @@ let run_parallel_bench () =
         (fun domains ->
           let obs = bench_sink () in
           let meas =
-            Runner.run_method ~budget ~obs ~domains engine Engine.Tsrjoin
+            Runner.run_method ~limits ~obs ~domains engine Engine.Tsrjoin
               queries
           in
           let ms = meas.Runner.total_seconds *. 1000.0 in
@@ -733,14 +727,14 @@ let run_parallel_bench () =
           let speedup = !baseline /. max ms 1e-9 in
           json_record ~obs ~experiment:"parallel" ~dataset:"yellow"
             ~pattern:(Pattern.to_string shape)
-            ~raw:
+            ~fields:
               ([
-                 ("cores", string_of_int cores);
-                 ("domains", string_of_int domains);
+                 ("cores", Obs.Json.Int cores);
+                 ("domains", Obs.Json.Int domains);
                ]
               @
               if domains > cores then []
-              else [ ("speedup_vs_1", Printf.sprintf "%.3f" speedup) ])
+              else [ ("speedup_vs_1", Obs.Json.Fixed (3, speedup)) ])
             meas;
           Format.fprintf fmt "%-8d %12.2f %9.2fx@." domains ms speedup)
         sweep)
@@ -817,7 +811,7 @@ let run_plancache () =
   let queries = List.concat (List.init repetitions (fun _ -> distinct)) in
   let measure ?plan_cache () =
     let obs = bench_sink () in
-    (obs, Runner.run_method ~budget ~obs ?plan_cache engine Engine.Tsrjoin queries)
+    (obs, Runner.run_method ~limits ~obs ?plan_cache engine Engine.Tsrjoin queries)
   in
   let obs_cold, cold = measure () in
   let cache = Workload.Plan_cache.create () in
@@ -851,17 +845,17 @@ let run_plancache () =
   let record ~variant ~obs meas =
     json_record ~obs ~experiment:"plancache" ~dataset:"yellow"
       ~pattern:"hot-shapes"
-      ~raw:
-        ([ ("variant", Printf.sprintf "\"%s\"" variant) ]
+      ~fields:
+        ([ ("variant", Obs.Json.String variant) ]
         @
         if variant = "cold" then []
         else
           [
-            ("hit_ratio", Printf.sprintf "%.4f" hit_ratio);
-            ("hits", string_of_int cs.Workload.Plan_cache.hits);
-            ("misses", string_of_int cs.Workload.Plan_cache.misses);
-            ("replans", string_of_int cs.Workload.Plan_cache.replans);
-            ("evictions", string_of_int cs.Workload.Plan_cache.evictions);
+            ("hit_ratio", Obs.Json.Fixed (4, hit_ratio));
+            ("hits", Obs.Json.Int cs.Workload.Plan_cache.hits);
+            ("misses", Obs.Json.Int cs.Workload.Plan_cache.misses);
+            ("replans", Obs.Json.Int cs.Workload.Plan_cache.replans);
+            ("evictions", Obs.Json.Int cs.Workload.Plan_cache.evictions);
           ])
       meas
   in

@@ -335,11 +335,13 @@ let query_cmd =
         Format.printf "%d matches in %.1f ms (%a)@." !total (dt *. 1000.0)
           Semantics.Run_stats.pp stats
     | `Json ->
-        print_endline (Semantics.Json_out.matches_to_json g (List.rev !kept))
+        print_endline
+          (Obs.Json.to_string_lines
+             (List.rev_map (Semantics.Match_result.to_json g) !kept))
     | `Csv ->
-        print_endline Semantics.Json_out.csv_header;
+        print_endline Semantics.Match_result.csv_header;
         List.iter
-          (fun mtch -> print_endline (Semantics.Json_out.match_to_csv mtch))
+          (fun mtch -> print_endline (Semantics.Match_result.to_csv mtch))
           (List.rev !kept))
   in
   Cmd.v
@@ -489,7 +491,8 @@ let explain_cmd =
         in
         if json then
           print_endline
-            (Analysis.Explain.to_json ?analyzed ~label_names report)
+            (Obs.Json.to_string
+               (Analysis.Explain.to_json ?analyzed ~label_names report))
         else begin
           Format.printf "%a@." (Analysis.Explain.pp ~label_names) report;
           if analyze then
@@ -703,15 +706,16 @@ let lint_cmd =
     let all = List.concat_map (fun (_, _, ds) -> ds) reports in
     if json then
       print_endline
-        (Semantics.Json_out.arr
-           (List.map
-              (fun (text, _, ds) ->
-                Semantics.Json_out.obj
-                  [
-                    ("query", Semantics.Json_out.escape_string text);
-                    ("diagnostics", Analysis.Diagnostic.list_to_json ds);
-                  ])
-              reports))
+        (Obs.Json.to_string
+           (Obs.Json.List
+              (List.map
+                 (fun (text, _, ds) ->
+                   Obs.Json.Obj
+                     [
+                       ("query", Obs.Json.String text);
+                       ("diagnostics", Analysis.Diagnostic.list_to_json ds);
+                     ])
+                 reports)))
     else begin
       List.iter
         (fun (text, _, ds) ->
@@ -995,11 +999,11 @@ let client_cmd =
           | Ok _ | Error _ -> incr failures)
     in
     if ping then
-      roundtrip (Tcsq_server.Json.to_string (Tcsq_server.Client.op_json "ping"));
+      roundtrip (Obs.Json.to_string (Tcsq_server.Client.op_json "ping"));
     (match match_ with
     | Some text ->
         roundtrip
-          (Tcsq_server.Json.to_string
+          (Obs.Json.to_string
              (Tcsq_server.Client.query_json ~method_:m ?deadline_ms ~limit
                 ~count_only text))
     | None -> ());
@@ -1015,7 +1019,7 @@ let client_cmd =
                     e.Semantics.Qlang.position e.Semantics.Qlang.message))
         | Ok _ -> ());
         roundtrip
-          (Tcsq_server.Json.to_string
+          (Obs.Json.to_string
              (Tcsq_server.Client.subscribe_json ?window_width text))
     | None -> ());
     if stdin_mode then begin
@@ -1044,7 +1048,7 @@ let client_cmd =
         done);
     if metrics then
       roundtrip
-        (Tcsq_server.Json.to_string (Tcsq_server.Client.op_json "metrics"));
+        (Obs.Json.to_string (Tcsq_server.Client.op_json "metrics"));
     if prom then (
       match Tcsq_server.Client.metrics_prom client with
       | Ok text -> print_string text
@@ -1061,7 +1065,7 @@ let client_cmd =
             Printf.eprintf "tcsq: metrics failed: %s\n%!" msg;
             incr failures
         | Ok snap -> (
-            match Tcsq_server.Json.mem_list "fingerprints" snap with
+            match Obs.Json.mem_list "fingerprints" snap with
             | None | Some [] -> print_endline "no fingerprints recorded"
             | Some fps ->
                 Printf.printf "%-16s  %8s  %6s  %10s  %7s  %8s\n"
@@ -1071,15 +1075,15 @@ let client_cmd =
                     if i < n then
                       let s k =
                         Option.value ~default:"?"
-                          (Tcsq_server.Json.mem_string k fp)
+                          (Obs.Json.mem_string k fp)
                       in
                       let d k =
                         Option.value ~default:0
-                          (Tcsq_server.Json.mem_int k fp)
+                          (Obs.Json.mem_int k fp)
                       in
                       let f k =
                         Option.value ~default:0.0
-                          (Tcsq_server.Json.mem_float k fp)
+                          (Obs.Json.mem_float k fp)
                       in
                       Printf.printf "%-16s  %8d  %6d  %10.3f  %7d  %8d\n"
                         (s "fingerprint") (d "count") (d "slow") (f "mean_ms")
@@ -1087,7 +1091,7 @@ let client_cmd =
                   fps)));
     if shutdown then
       roundtrip
-        (Tcsq_server.Json.to_string (Tcsq_server.Client.op_json "shutdown"));
+        (Obs.Json.to_string (Tcsq_server.Client.op_json "shutdown"));
     Tcsq_server.Client.close client;
     if !failures > 0 then exit 1
   in

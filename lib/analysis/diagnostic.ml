@@ -64,31 +64,26 @@ let pp fmt d =
 
 let to_string d = Format.asprintf "%a" pp d
 
-let location_json = function
-  | Queryloc -> Semantics.Json_out.obj [ ("kind", "\"query\"") ]
-  | Window -> Semantics.Json_out.obj [ ("kind", "\"window\"") ]
-  | Edge i ->
-      Semantics.Json_out.obj
-        [ ("kind", "\"edge\""); ("index", string_of_int i) ]
-  | Var v ->
-      Semantics.Json_out.obj
-        [ ("kind", "\"variable\""); ("index", string_of_int v) ]
-  | Step i ->
-      Semantics.Json_out.obj
-        [ ("kind", "\"step\""); ("index", string_of_int i) ]
-  | Planloc -> Semantics.Json_out.obj [ ("kind", "\"plan\"") ]
-  | Text off ->
-      Semantics.Json_out.obj
-        [ ("kind", "\"text\""); ("offset", string_of_int off) ]
+let location_json loc =
+  let kind k rest = Obs.Json.Obj (("kind", Obs.Json.String k) :: rest) in
+  let index i = [ ("index", Obs.Json.Int i) ] in
+  match loc with
+  | Queryloc -> kind "query" []
+  | Window -> kind "window" []
+  | Edge i -> kind "edge" (index i)
+  | Var v -> kind "variable" (index v)
+  | Step i -> kind "step" (index i)
+  | Planloc -> kind "plan" []
+  | Text off -> kind "text" [ ("offset", Obs.Json.Int off) ]
 
 let to_json d =
-  Semantics.Json_out.obj
+  Obs.Json.Obj
     [
-      ("code", Semantics.Json_out.escape_string d.code);
-      ("severity", Semantics.Json_out.escape_string (severity_name d.severity));
+      ("code", Obs.Json.String d.code);
+      ("severity", Obs.Json.String (severity_name d.severity));
       ("location", location_json d.location);
-      ("message", Semantics.Json_out.escape_string d.message);
-      ("proves_empty", string_of_bool d.proves_empty);
+      ("message", Obs.Json.String d.message);
+      ("proves_empty", Obs.Json.Bool d.proves_empty);
     ]
 
-let list_to_json ds = Semantics.Json_out.arr (List.map to_json ds)
+let list_to_json ds = Obs.Json.List (List.map to_json ds)

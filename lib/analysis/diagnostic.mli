@@ -64,12 +64,12 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val to_json : t -> string
+val to_json : t -> Obs.Json.t
 (** A JSON object:
     [{"code": "Q002", "severity": "warning",
       "location": {"kind": "window"}, "message": "...",
       "proves_empty": true}];
     indexed locations carry an ["index"] field. *)
 
-val list_to_json : t list -> string
+val list_to_json : t list -> Obs.Json.t
 (** A JSON array of {!to_json} objects. *)

@@ -345,77 +345,76 @@ let pp_analyzed fmt a =
         (if r.changed then "order changed" else "order unchanged"));
   Format.fprintf fmt "@]"
 
+module J = Obs.Json
+
+let g6 f = J.Sig (6, f)
+
 let analyzed_to_json a =
-  Json_out.obj
+  let s = a.exec_stats in
+  J.Obj
     [
-      ("executed", Json_out.escape_string a.executed);
+      ("executed", J.String a.executed);
       ( "levels",
-        Json_out.arr
+        J.List
           (List.map
              (fun r ->
-               Json_out.obj
+               J.Obj
                  [
-                   ("level", string_of_int r.level);
-                   ("pivot", string_of_int r.pivot);
-                   ("estimated", Printf.sprintf "%.6g" r.est_cumulative);
-                   ("actual", string_of_int r.actual);
-                   ("factor", Printf.sprintf "%.6g" r.factor);
+                   ("level", J.Int r.level);
+                   ("pivot", J.Int r.pivot);
+                   ("estimated", g6 r.est_cumulative);
+                   ("actual", J.Int r.actual);
+                   ("factor", g6 r.factor);
                  ])
              a.rows) );
       ( "stats",
-        Json_out.obj
+        J.Obj
           [
-            ("results", string_of_int a.exec_stats.Run_stats.results);
-            ( "intermediate",
-              string_of_int a.exec_stats.Run_stats.intermediate );
-            ("scanned", string_of_int a.exec_stats.Run_stats.scanned);
-            ("bindings", string_of_int a.exec_stats.Run_stats.bindings);
-            ("seeks", string_of_int a.exec_stats.Run_stats.seeks);
+            ("results", J.Int s.Run_stats.results);
+            ("intermediate", J.Int s.Run_stats.intermediate);
+            ("scanned", J.Int s.Run_stats.scanned);
+            ("bindings", J.Int s.Run_stats.bindings);
+            ("seeks", J.Int s.Run_stats.seeks);
           ] );
       ("diagnostics", Diagnostic.list_to_json a.analyze_diags);
       ( "replan",
         match a.replan with
-        | None -> "null"
+        | None -> J.Null
         | Some r ->
-            Json_out.obj
+            J.Obj
               [
-                ( "pivots",
-                  Json_out.arr (List.map string_of_int r.pivots) );
-                ("changed", string_of_bool r.changed);
+                ("pivots", J.List (List.map (fun v -> J.Int v) r.pivots));
+                ("changed", J.Bool r.changed);
               ] );
     ]
 
 let est_to_json (est : Selectivity.t) =
-  Json_out.obj
+  J.Obj
     [
       ( "window",
-        Json_out.obj
-          [
-            ("ws", string_of_int est.Selectivity.ws);
-            ("we", string_of_int est.Selectivity.we);
-          ] );
-      ("estimated_results", Printf.sprintf "%.6g" est.Selectivity.estimated_results);
-      ( "estimated_intermediate",
-        Printf.sprintf "%.6g" est.Selectivity.estimated_intermediate );
+        J.Obj
+          [ ("ws", J.Int est.Selectivity.ws); ("we", J.Int est.Selectivity.we) ]
+      );
+      ("estimated_results", g6 est.Selectivity.estimated_results);
+      ("estimated_intermediate", g6 est.Selectivity.estimated_intermediate);
       ( "steps",
-        Json_out.arr
+        J.List
           (Array.to_list
              (Array.map
                 (fun (se : Selectivity.step_estimate) ->
-                  Json_out.obj
+                  J.Obj
                     ([
-                       ("index", string_of_int se.Selectivity.step_index);
-                       ("pivot", string_of_int se.Selectivity.pivot);
-                       ("root", string_of_bool se.Selectivity.root);
-                       ("n_edges", string_of_int se.Selectivity.n_edges);
+                       ("index", J.Int se.Selectivity.step_index);
+                       ("pivot", J.Int se.Selectivity.pivot);
+                       ("root", J.Bool se.Selectivity.root);
+                       ("n_edges", J.Int se.Selectivity.n_edges);
                      ]
                     @ (match se.Selectivity.candidates with
-                      | Some c -> [ ("candidates", string_of_int c) ]
+                      | Some c -> [ ("candidates", J.Int c) ]
                       | None -> [])
                     @ [
-                        ("fanout", Printf.sprintf "%.6g" se.Selectivity.fanout);
-                        ( "cumulative",
-                          Printf.sprintf "%.6g" se.Selectivity.cumulative );
+                        ("fanout", g6 se.Selectivity.fanout);
+                        ("cumulative", g6 se.Selectivity.cumulative);
                       ]))
                 est.Selectivity.steps)) );
     ]
@@ -423,25 +422,25 @@ let est_to_json (est : Selectivity.t) =
 let to_json ?analyzed ~label_names t =
   let q = t.query in
   let interval_json w =
-    Json_out.obj
+    J.Obj
       [
-        ("ws", string_of_int (Temporal.Interval.ts w));
-        ("we", string_of_int (Temporal.Interval.te w));
+        ("ws", J.Int (Temporal.Interval.ts w));
+        ("we", J.Int (Temporal.Interval.te w));
       ]
   in
-  Json_out.obj
+  J.Obj
     [
-      ("schema", "\"tcsq-explain/v1\"");
-      ("query", Json_out.escape_string (Format.asprintf "%a" Query.pp q));
+      ("schema", J.String "tcsq-explain/v1");
+      ("query", J.String (Format.asprintf "%a" Query.pp q));
       ("window", interval_json (Query.window q));
       ( "effective_window",
         match t.bound.Bound.effective with
         | Some w -> interval_json w
-        | None -> "null" );
-      ("unsat", string_of_bool t.bound.Bound.unsat);
+        | None -> J.Null );
+      ("unsat", J.Bool t.bound.Bound.unsat);
       ("diagnostics", Diagnostic.list_to_json t.query_diags);
       ( "edges",
-        Json_out.arr
+        J.List
           (match t.candidates with
           | [] -> []
           | c :: _ ->
@@ -449,33 +448,30 @@ let to_json ?analyzed ~label_names t =
                 (Array.map
                    (fun (ee : Selectivity.edge_estimate) ->
                      let e = ee.Selectivity.edge in
-                     Json_out.obj
+                     J.Obj
                        [
-                         ("edge", string_of_int e.Query.idx);
+                         ("edge", J.Int e.Query.idx);
                          ( "label",
-                           Json_out.escape_string
-                             (label_string ~label_names e.Query.lbl) );
-                         ("count", Printf.sprintf "%.6g" ee.Selectivity.count);
-                         ( "window_fraction",
-                           Printf.sprintf "%.6g" ee.Selectivity.window_fraction );
-                         ( "expected_active",
-                           Printf.sprintf "%.6g" ee.Selectivity.expected_active );
+                           J.String (label_string ~label_names e.Query.lbl) );
+                         ("count", g6 ee.Selectivity.count);
+                         ("window_fraction", g6 ee.Selectivity.window_fraction);
+                         ("expected_active", g6 ee.Selectivity.expected_active);
                        ])
                    c.est.Selectivity.edges)) );
       ( "plans",
-        Json_out.arr
+        J.List
           (List.map
              (fun c ->
-               Json_out.obj
+               J.Obj
                  [
-                   ("name", Json_out.escape_string c.name);
-                   ("chosen", string_of_bool c.chosen);
+                   ("name", J.String c.name);
+                   ("chosen", J.Bool c.chosen);
                    ("estimate", est_to_json c.est);
                    ("diagnostics", Diagnostic.list_to_json c.plan_diags);
                  ])
              t.candidates) );
       ( "analyze",
         match analyzed with
-        | None -> "null"
+        | None -> J.Null
         | Some a -> analyzed_to_json a );
     ]

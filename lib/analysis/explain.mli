@@ -105,6 +105,6 @@ val pp_analyzed : Format.formatter -> analyzed -> unit
 (** The estimated-vs-actual table: one row per plan level plus totals
     and the [P009] verdicts. Deterministic (counters, no timings). *)
 
-val to_json : ?analyzed:analyzed -> label_names:string array -> t -> string
+val to_json : ?analyzed:analyzed -> label_names:string array -> t -> Obs.Json.t
 (** Schema ["tcsq-explain/v1"]; [analyzed] rides in the (additive)
     ["analyze"] key, [null] when absent. *)

@@ -95,14 +95,6 @@ let check_relation cache d variant ~base =
   | Error msg -> Error msg
   | Ok derived -> d.Relation.check ~base ~derived
 
-let stats_fields (s : Run_stats.t) =
-  [
-    ("results", s.results); ("intermediate", s.intermediate);
-    ("scanned", s.scanned); ("bindings", s.bindings);
-    ("enum_steps", s.enum_steps); ("seeks", s.seeks);
-    ("est_intermediate", s.est_intermediate);
-  ]
-
 let check_parallel cache (case : Case.t) ~domains =
   let c = ctx_for cache case.Case.graph in
   let seq_stats = Run_stats.create () in
@@ -139,7 +131,8 @@ let check_parallel cache (case : Case.t) ~domains =
               (fun ((k, a), (_, b)) ->
                 if a = b then None
                 else Some (Printf.sprintf "%s %d vs %d" k a b))
-              (List.combine (stats_fields seq_stats) (stats_fields par_stats))
+              (List.combine (Run_stats.counters seq_stats)
+                 (Run_stats.counters par_stats))
           in
           if mismatches = [] then None
           else

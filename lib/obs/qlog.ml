@@ -47,66 +47,49 @@ type record = {
 
 (* ---- rendering ---- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
-let opt_string = function None -> "null" | Some s -> escape s
-
 let to_json ~slow r =
-  let buf = Buffer.create 512 in
-  Printf.bprintf buf "{\"schema\": \"tcsq-qlog/v1\"";
-  Printf.bprintf buf ", \"ts\": %.6f" r.ts;
-  Printf.bprintf buf ", \"id\": %s" (opt_string r.id);
-  Printf.bprintf buf ", \"fingerprint\": %s" (opt_string r.fingerprint);
-  Printf.bprintf buf ", \"query\": %s" (opt_string r.query);
-  Printf.bprintf buf ", \"method\": %s" (opt_string r.method_);
-  (match r.window with
-  | None -> Printf.bprintf buf ", \"window\": null"
-  | Some (ws, we) ->
-      Printf.bprintf buf ", \"window\": {\"ws\": %d, \"we\": %d}" ws we);
-  Printf.bprintf buf ", \"outcome\": %s" (escape (outcome_name r.outcome));
-  Printf.bprintf buf ", \"duration_ms\": %.3f" r.duration_ms;
-  Printf.bprintf buf ", \"slow\": %b" slow;
-  Printf.bprintf buf ", \"truncated\": %b"
-    (match r.outcome with
-    | Truncated_budget | Truncated_deadline -> true
-    | _ -> false);
-  Printf.bprintf buf ", \"deadline\": %b" (r.outcome = Truncated_deadline);
-  Printf.bprintf buf ", \"stats\": {";
-  List.iteri
-    (fun i (k, v) ->
-      Printf.bprintf buf "%s%s: %d" (if i > 0 then ", " else "") (escape k) v)
-    r.stats;
-  Printf.bprintf buf "}";
-  Printf.bprintf buf ", \"levels\": [";
-  List.iteri
-    (fun i l ->
-      Printf.bprintf buf "%s{\"level\": %d, \"est\": %d, \"actual\": %d}"
-        (if i > 0 then ", " else "")
-        l.level l.est l.actual)
-    r.levels;
-  Printf.bprintf buf "]";
-  (match r.misestimation with
-  | None -> Printf.bprintf buf ", \"misestimation\": null"
-  | Some f -> Printf.bprintf buf ", \"misestimation\": %.3f" f);
-  Printf.bprintf buf ", \"plan_source\": %s" (opt_string r.plan_source);
-  Printf.bprintf buf "}";
-  Buffer.contents buf
+  let opt_string = function None -> Json.Null | Some s -> Json.String s in
+  Json.to_string
+    (Json.Obj
+       [
+         ("schema", Json.String "tcsq-qlog/v1");
+         ("ts", Json.Fixed (6, r.ts));
+         ("id", opt_string r.id);
+         ("fingerprint", opt_string r.fingerprint);
+         ("query", opt_string r.query);
+         ("method", opt_string r.method_);
+         ( "window",
+           match r.window with
+           | None -> Json.Null
+           | Some (ws, we) ->
+               Json.Obj [ ("ws", Json.Int ws); ("we", Json.Int we) ] );
+         ("outcome", Json.String (outcome_name r.outcome));
+         ("duration_ms", Json.Fixed (3, r.duration_ms));
+         ("slow", Json.Bool slow);
+         ( "truncated",
+           Json.Bool
+             (match r.outcome with
+             | Truncated_budget | Truncated_deadline -> true
+             | _ -> false) );
+         ("deadline", Json.Bool (r.outcome = Truncated_deadline));
+         ("stats", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) r.stats));
+         ( "levels",
+           Json.List
+             (List.map
+                (fun l ->
+                  Json.Obj
+                    [
+                      ("level", Json.Int l.level);
+                      ("est", Json.Int l.est);
+                      ("actual", Json.Int l.actual);
+                    ])
+                r.levels) );
+         ( "misestimation",
+           match r.misestimation with
+           | None -> Json.Null
+           | Some f -> Json.Fixed (3, f) );
+         ("plan_source", opt_string r.plan_source);
+       ])
 
 (* ---- the writer ---- *)
 

@@ -98,37 +98,34 @@ let pp_summary fmt sink =
       "(%d events dropped at the buffer cap; aggregates above are complete)@."
       (Sink.dropped sink)
 
-(* minimal JSON string escaping; phase names are plain ASCII but the
-   process name is caller-supplied *)
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_chrome_json ?(process_name = "tcsq") sink =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"schema\": \"trace/v1\", \"displayTimeUnit\": \"ms\"";
-  Printf.bprintf buf ", \"droppedEvents\": %d" (Sink.dropped sink);
-  Buffer.add_string buf ", \"traceEvents\": [";
-  Printf.bprintf buf
-    "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 1, \
-     \"args\": {\"name\": \"%s\"}}"
-    (escape process_name);
+  let ids = [ ("pid", Json.Int 1); ("tid", Json.Int 1) ] in
+  let events = ref [] in
   (* complete events ("ph": "X"), microsecond timestamps; one pid/tid —
      a sink is single-domain by construction *)
   Sink.iter_events sink (fun ~phase ~start_s ~dur_s ->
-      Printf.bprintf buf
-        ", {\"name\": \"%s\", \"cat\": \"tcsq\", \"ph\": \"X\", \"ts\": %.3f, \
-         \"dur\": %.3f, \"pid\": 1, \"tid\": 1}"
-        (Phase.name phase) (start_s *. 1e6) (dur_s *. 1e6));
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+      events :=
+        Json.Obj
+          ([
+             ("name", Json.String (Phase.name phase));
+             ("cat", Json.String "tcsq");
+             ("ph", Json.String "X");
+             ("ts", Json.Fixed (3, start_s *. 1e6));
+             ("dur", Json.Fixed (3, dur_s *. 1e6));
+           ]
+          @ ids)
+        :: !events);
+  let process =
+    Json.Obj
+      ([ ("name", Json.String "process_name"); ("ph", Json.String "M") ]
+      @ ids
+      @ [ ("args", Json.Obj [ ("name", Json.String process_name) ]) ])
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("schema", Json.String "trace/v1");
+         ("displayTimeUnit", Json.String "ms");
+         ("droppedEvents", Json.Int (Sink.dropped sink));
+         ("traceEvents", Json.List (process :: List.rev !events));
+       ])

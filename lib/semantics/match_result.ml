@@ -24,6 +24,41 @@ let pp fmt m =
        (Array.to_list (Array.map (Printf.sprintf "e%d") m.edges)))
     Temporal.Interval.pp m.life
 
+let to_json g m =
+  let module J = Obs.Json in
+  let edge id =
+    let e = Tgraph.Graph.edge g id in
+    J.Obj
+      [
+        ("id", J.Int id);
+        ("src", J.Int (Tgraph.Edge.src e));
+        ("dst", J.Int (Tgraph.Edge.dst e));
+        ( "label",
+          J.String
+            (Tgraph.Label.name (Tgraph.Graph.labels g) (Tgraph.Edge.lbl e)) );
+        ("ts", J.Int (Tgraph.Edge.ts e));
+        ("te", J.Int (Tgraph.Edge.te e));
+      ]
+  in
+  J.Obj
+    [
+      ("edges", J.List (Array.to_list (Array.map edge m.edges)));
+      ( "lifespan",
+        J.Obj
+          [
+            ("ts", J.Int (Temporal.Interval.ts m.life));
+            ("te", J.Int (Temporal.Interval.te m.life));
+          ] );
+    ]
+
+let csv_header = "edges,lifespan_ts,lifespan_te"
+
+let to_csv m =
+  Printf.sprintf "%s,%d,%d"
+    (String.concat ";" (Array.to_list (Array.map string_of_int m.edges)))
+    (Temporal.Interval.ts m.life)
+    (Temporal.Interval.te m.life)
+
 let life_of_edges g edges =
   let open Temporal in
   Array.fold_left

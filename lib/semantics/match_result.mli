@@ -11,6 +11,21 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
+val to_json : Tgraph.Graph.t -> t -> Obs.Json.t
+(** The one JSON form of a match, shared by [tcsq query --format json]
+    and the wire protocol: edge bindings resolved against the graph,
+    e.g.
+    {v
+{"edges": [{"id": 3, "src": 0, "dst": 4, "label": "a", "ts": 13, "te": 15}],
+ "lifespan": {"ts": 15, "te": 15}}
+    v} *)
+
+val to_csv : t -> string
+(** Terse CSV row: edge ids separated by [;], then lifespan start/end. *)
+
+val csv_header : string
+(** Column names for {!to_csv}. *)
+
 val life_of_edges : Tgraph.Graph.t -> int array -> Temporal.Interval.t option
 (** Intersection of the intervals of the given graph edges. *)
 

@@ -150,12 +150,21 @@ let merge_into dst src =
   dst.est_level_intermediate <-
     merge_levels dst.est_level_intermediate src.est_level_intermediate
 
+let counters s =
+  [
+    ("results", s.results);
+    ("intermediate", s.intermediate);
+    ("scanned", s.scanned);
+    ("bindings", s.bindings);
+    ("enum_steps", s.enum_steps);
+    ("seeks", s.seeks);
+    ("est_intermediate", s.est_intermediate);
+  ]
+
 let pp fmt s =
-  Format.fprintf fmt
-    "results=%d intermediate=%d scanned=%d bindings=%d enum_steps=%d seeks=%d \
-     est_intermediate=%d"
-    s.results s.intermediate s.scanned s.bindings s.enum_steps s.seeks
-    s.est_intermediate;
+  Format.pp_print_string fmt
+    (String.concat " "
+       (List.map (fun (k, v) -> k ^ "=" ^ string_of_int v) (counters s)));
   if Array.length s.level_intermediate > 0 then begin
     Format.fprintf fmt " levels=[";
     Array.iteri

@@ -111,6 +111,11 @@ val levels : t -> int array
 val est_levels : t -> int array
 (** Defensive copy of the per-level estimates. *)
 
+val counters : t -> (string * int) list
+(** The scalar counters by name, in the one order every report uses:
+    results, intermediate, scanned, bindings, enum_steps, seeks,
+    est_intermediate. *)
+
 (** [merge_into dst src] adds counter-wise; the level arrays merge
     element-wise (the destination grows to the longer of the two), so
     per-domain partial counts from a parallel run sum to exactly the

@@ -185,17 +185,6 @@ let slow_counts t =
     ("truncated_deadline", t.slow_truncated_deadline);
   ]
 
-let run_stat_counts t =
-  [
-    ("results", t.totals.Run_stats.results);
-    ("intermediate", t.totals.Run_stats.intermediate);
-    ("scanned", t.totals.Run_stats.scanned);
-    ("bindings", t.totals.Run_stats.bindings);
-    ("enum_steps", t.totals.Run_stats.enum_steps);
-    ("seeks", t.totals.Run_stats.seeks);
-    ("est_intermediate", t.totals.Run_stats.est_intermediate);
-  ]
-
 let sorted_methods t =
   Hashtbl.fold (fun name mm acc -> (name, mm) :: acc) t.per_method []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -391,7 +380,7 @@ let prometheus ?plan_cache t ~queue_depth ~pool_dropped =
         (fun (c, v) ->
           Printf.bprintf buf "tcsq_run_stats_total{counter=\"%s\"} %d\n"
             (plabel c) v)
-        (run_stat_counts t);
+        (Run_stats.counters t.totals);
       Buffer.add_string buf
         "# HELP tcsq_request_duration_seconds Query wall time by method.\n\
          # TYPE tcsq_request_duration_seconds histogram\n";

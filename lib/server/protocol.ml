@@ -92,80 +92,86 @@ let parse_ingest_edge j =
       Ok { src; dst; label; ts; te }
   | _ -> Error "ingest edge needs src, dst, label, ts, te"
 
+let request_of_json j =
+  let id = Json.mem_string "id" j in
+  match
+    List.find_opt
+      (fun k -> Option.is_some (Json.member k j) && Json.mem_int k j = None)
+      [ "limit"; "max_results"; "max_intermediate"; "window_width"; "sub" ]
+  with
+  | Some k ->
+      Error (Printf.sprintf "field %S is not a representable integer" k)
+  | None ->
+  match Json.mem_string "op" j with
+  | None -> Error "missing \"op\" field"
+  | Some "ingest" -> (
+      match Json.mem_list "edges" j with
+      | None -> Error "missing \"edges\" field"
+      | Some items -> (
+          let rec collect acc = function
+            | [] -> Ok (List.rev acc)
+            | item :: rest -> (
+                match parse_ingest_edge item with
+                | Ok e -> collect (e :: acc) rest
+                | Error _ as e -> e)
+          in
+          match collect [] items with
+          | Ok edges -> Ok (Ingest { ingest_id = id; edges })
+          | Error msg -> Error msg))
+  | Some "subscribe" -> (
+      match Json.mem_string "query" j with
+      | None -> Error "missing \"query\" field"
+      | Some text -> (
+          match Json.mem_int "window_width" j with
+          | Some w when w <= 0 -> Error "window_width must be positive"
+          | window_width ->
+              Ok
+                (Subscribe
+                   { subscribe_id = id; subscribe_text = text; window_width })
+          ))
+  | Some "unsubscribe" -> (
+      match Json.mem_int "sub" j with
+      | None -> Error "missing \"sub\" field"
+      | Some sub -> Ok (Unsubscribe { unsubscribe_id = id; sub }))
+  | Some "metrics" -> Ok (Metrics id)
+  | Some "metrics_prom" -> Ok (Metrics_prom id)
+  | Some "ping" -> Ok (Ping id)
+  | Some "shutdown" -> Ok (Shutdown id)
+  | Some "query" -> (
+      match Json.mem_string "query" j with
+      | None -> Error "missing \"query\" field"
+      | Some text -> (
+          let method_name =
+            Option.value (Json.mem_string "method" j) ~default:"tsrjoin"
+          in
+          match Workload.Engine.method_of_string method_name with
+          | None -> Error (Printf.sprintf "unknown method %S" method_name)
+          | Some method_ ->
+              Ok
+                (Query
+                   {
+                     id;
+                     text;
+                     method_;
+                     deadline_ms = Json.mem_float "deadline_ms" j;
+                     limit = Json.mem_int "limit" j;
+                     count_only =
+                       Option.value
+                         (Json.mem_bool "count_only" j)
+                         ~default:false;
+                     max_results = Json.mem_int "max_results" j;
+                     max_intermediate = Json.mem_int "max_intermediate" j;
+                   })))
+  | Some op -> Error (Printf.sprintf "unknown op %S" op)
+
+(* a line that parsed as JSON gets its "id" echoed even when the request
+   is refused, so a pipelined client can tell which request failed *)
 let parse_request line =
   match Json.parse line with
-  | Error msg -> Error (Printf.sprintf "bad JSON: %s" msg)
-  | Ok j -> (
-      let id = Json.mem_string "id" j in
-      match
-        List.find_opt
-          (fun k -> Option.is_some (Json.member k j) && Json.mem_int k j = None)
-          [ "limit"; "max_results"; "max_intermediate"; "window_width"; "sub" ]
-      with
-      | Some k ->
-          Error (Printf.sprintf "field %S is not a representable integer" k)
-      | None ->
-      match Json.mem_string "op" j with
-      | None -> Error "missing \"op\" field"
-      | Some "ingest" -> (
-          match Json.mem_list "edges" j with
-          | None -> Error "missing \"edges\" field"
-          | Some items -> (
-              let rec collect acc = function
-                | [] -> Ok (List.rev acc)
-                | item :: rest -> (
-                    match parse_ingest_edge item with
-                    | Ok e -> collect (e :: acc) rest
-                    | Error _ as e -> e)
-              in
-              match collect [] items with
-              | Ok edges -> Ok (Ingest { ingest_id = id; edges })
-              | Error msg -> Error msg))
-      | Some "subscribe" -> (
-          match Json.mem_string "query" j with
-          | None -> Error "missing \"query\" field"
-          | Some text -> (
-              match Json.mem_int "window_width" j with
-              | Some w when w <= 0 -> Error "window_width must be positive"
-              | window_width ->
-                  Ok
-                    (Subscribe
-                       { subscribe_id = id; subscribe_text = text; window_width })
-              ))
-      | Some "unsubscribe" -> (
-          match Json.mem_int "sub" j with
-          | None -> Error "missing \"sub\" field"
-          | Some sub -> Ok (Unsubscribe { unsubscribe_id = id; sub }))
-      | Some "metrics" -> Ok (Metrics id)
-      | Some "metrics_prom" -> Ok (Metrics_prom id)
-      | Some "ping" -> Ok (Ping id)
-      | Some "shutdown" -> Ok (Shutdown id)
-      | Some "query" -> (
-          match Json.mem_string "query" j with
-          | None -> Error "missing \"query\" field"
-          | Some text -> (
-              let method_name =
-                Option.value (Json.mem_string "method" j) ~default:"tsrjoin"
-              in
-              match Workload.Engine.method_of_string method_name with
-              | None -> Error (Printf.sprintf "unknown method %S" method_name)
-              | Some method_ ->
-                  Ok
-                    (Query
-                       {
-                         id;
-                         text;
-                         method_;
-                         deadline_ms = Json.mem_float "deadline_ms" j;
-                         limit = Json.mem_int "limit" j;
-                         count_only =
-                           Option.value
-                             (Json.mem_bool "count_only" j)
-                             ~default:false;
-                         max_results = Json.mem_int "max_results" j;
-                         max_intermediate = Json.mem_int "max_intermediate" j;
-                       })))
-      | Some op -> Error (Printf.sprintf "unknown op %S" op))
+  | Error msg -> Error (None, Printf.sprintf "bad JSON: %s" msg)
+  | Ok j ->
+      Result.map_error (fun msg -> (Json.mem_string "id" j, msg))
+        (request_of_json j)
 
 (* ---- server-side response rendering ---- *)
 
@@ -176,48 +182,22 @@ let stats_json (s : Run_stats.t) =
     Json.List (Array.to_list (Array.map (fun v -> Json.Int v) a))
   in
   Json.Obj
-    [
-      ("results", Json.Int s.Run_stats.results);
-      ("intermediate", Json.Int s.Run_stats.intermediate);
-      ("scanned", Json.Int s.Run_stats.scanned);
-      ("bindings", Json.Int s.Run_stats.bindings);
-      ("enum_steps", Json.Int s.Run_stats.enum_steps);
-      ("seeks", Json.Int s.Run_stats.seeks);
-      ("est_intermediate", Json.Int s.Run_stats.est_intermediate);
-      ("levels", int_array (Run_stats.levels s));
-      ("est_levels", int_array (Run_stats.est_levels s));
-    ]
+    (List.map (fun (k, v) -> (k, Json.Int v)) (Run_stats.counters s)
+    @ [
+        ("levels", int_array (Run_stats.levels s));
+        ("est_levels", int_array (Run_stats.est_levels s));
+      ])
 
-let match_json g (m : Match_result.t) =
-  let edge id =
-    let e = Tgraph.Graph.edge g id in
-    Json.Obj
-      [
-        ("id", Json.Int id);
-        ("src", Json.Int (Tgraph.Edge.src e));
-        ("dst", Json.Int (Tgraph.Edge.dst e));
-        ( "label",
-          Json.String
-            (Tgraph.Label.name (Tgraph.Graph.labels g) (Tgraph.Edge.lbl e)) );
-        ("ts", Json.Int (Tgraph.Edge.ts e));
-        ("te", Json.Int (Tgraph.Edge.te e));
-      ]
-  in
-  Json.Obj
-    [
-      ( "edges",
-        Json.List (Array.to_list (Array.map edge m.Match_result.edges)) );
-      ( "lifespan",
-        Json.Obj
-          [
-            ("ts", Json.Int (Temporal.Interval.ts m.Match_result.life));
-            ("te", Json.Int (Temporal.Interval.te m.Match_result.life));
-          ] );
-    ]
+let matches_json graph ms = Json.List (List.map (Match_result.to_json graph) ms)
 
 type truncation = Budget | Deadline
 
 let truncation_name = function Budget -> "budget" | Deadline -> "deadline"
+
+(* every response frame: the echoed id, then "status", then [fields] *)
+let frame ?id status fields =
+  Json.to_string
+    (Json.Obj (id_field id @ (("status", Json.String status) :: fields)))
 
 let result_response ?id ~graph ~truncated ~count ~matches ~stats ~elapsed_ms ()
     =
@@ -226,56 +206,33 @@ let result_response ?id ~graph ~truncated ~count ~matches ~stats ~elapsed_ms ()
     | None -> ("ok", [])
     | Some tr -> ("truncated", [ ("reason", Json.String (truncation_name tr)) ])
   in
-  Json.to_string
-    (Json.Obj
-       (id_field id
-       @ [ ("status", Json.String status) ]
-       @ reason
-       @ [
-           ("count", Json.Int count);
-           ("matches", Json.List (List.map (match_json graph) matches));
-           ("stats", stats_json stats);
-           ("elapsed_ms", Json.Float elapsed_ms);
-         ]))
+  frame ?id status
+    (reason
+    @ [
+        ("count", Json.Int count);
+        ("matches", matches_json graph matches);
+        ("stats", stats_json stats);
+        ("elapsed_ms", Json.Float elapsed_ms);
+      ])
 
 let error_response ?id ~kind ?(diagnostics = []) message =
-  let diag_fields =
+  frame ?id "error"
+    ([ ("kind", Json.String kind); ("message", Json.String message) ]
+    @
     if diagnostics = [] then []
-    else
-      match Json.parse (Analysis.Diagnostic.list_to_json diagnostics) with
-      | Ok j -> [ ("diagnostics", j) ]
-      | Error _ -> []
-  in
-  Json.to_string
-    (Json.Obj
-       (id_field id
-       @ [
-           ("status", Json.String "error");
-           ("kind", Json.String kind);
-           ("message", Json.String message);
-         ]
-       @ diag_fields))
+    else [ ("diagnostics", Analysis.Diagnostic.list_to_json diagnostics) ])
 
 let overloaded_response ?id ~queue_depth () =
-  Json.to_string
-    (Json.Obj
-       (id_field id
-       @ [
-           ("status", Json.String "overloaded");
-           ("queue_depth", Json.Int queue_depth);
-         ]))
+  frame ?id "overloaded" [ ("queue_depth", Json.Int queue_depth) ]
 
 let ingest_response ?id ~appended ~n_edges ~generation ~invalidated () =
-  Json.to_string
-    (Json.Obj
-       (id_field id
-       @ [
-           ("status", Json.String "ok");
-           ("appended", Json.Int appended);
-           ("n_edges", Json.Int n_edges);
-           ("generation", Json.Int generation);
-           ("plans_invalidated", Json.Int invalidated);
-         ]))
+  frame ?id "ok"
+    [
+      ("appended", Json.Int appended);
+      ("n_edges", Json.Int n_edges);
+      ("generation", Json.Int generation);
+      ("plans_invalidated", Json.Int invalidated);
+    ]
 
 let interval_json iv =
   Json.Obj
@@ -285,26 +242,16 @@ let interval_json iv =
     ]
 
 let subscribe_response ?id ~sub ~graph ~window ~matches () =
-  Json.to_string
-    (Json.Obj
-       (id_field id
-       @ [
-           ("status", Json.String "ok");
-           ("sub", Json.Int sub);
-           ("window", interval_json window);
-           ("count", Json.Int (List.length matches));
-           ("matches", Json.List (List.map (match_json graph) matches));
-         ]))
+  frame ?id "ok"
+    [
+      ("sub", Json.Int sub);
+      ("window", interval_json window);
+      ("count", Json.Int (List.length matches));
+      ("matches", matches_json graph matches);
+    ]
 
 let unsubscribe_response ?id ~sub ~removed () =
-  Json.to_string
-    (Json.Obj
-       (id_field id
-       @ [
-           ("status", Json.String "ok");
-           ("sub", Json.Int sub);
-           ("removed", Json.Bool removed);
-         ]))
+  frame ?id "ok" [ ("sub", Json.Int sub); ("removed", Json.Bool removed) ]
 
 (* Pushed frame, not a response: no "status", demuxed by "notification".
    [tag] echoes the id the client sent with the subscribe, so a
@@ -318,36 +265,22 @@ let delta_notification ?tag ~sub ~generation ~graph ~window ~added ~retracted
        @ [
            ("generation", Json.Int generation);
            ("window", interval_json window);
-           ("added", Json.List (List.map (match_json graph) added));
-           ("retracted", Json.List (List.map (match_json graph) retracted));
+           ("added", matches_json graph added);
+           ("retracted", matches_json graph retracted);
            ("total", Json.Int total);
            ("elapsed_ms", Json.Float elapsed_ms);
          ]))
 
-let pong_response ?id () =
-  Json.to_string
-    (Json.Obj
-       (id_field id @ [ ("status", Json.String "ok"); ("pong", Json.Bool true) ]))
+let pong_response ?id () = frame ?id "ok" [ ("pong", Json.Bool true) ]
 
-let metrics_response ?id snapshot =
-  Json.to_string
-    (Json.Obj
-       (id_field id
-       @ [ ("status", Json.String "ok"); ("metrics", snapshot) ]))
+let metrics_response ?id snapshot = frame ?id "ok" [ ("metrics", snapshot) ]
 
 (* the Prometheus text exposition rides the one-line JSON framing as an
    escaped string; clients unescape and serve/print it verbatim *)
 let metrics_prom_response ?id text =
-  Json.to_string
-    (Json.Obj
-       (id_field id
-       @ [ ("status", Json.String "ok"); ("prometheus", Json.String text) ]))
+  frame ?id "ok" [ ("prometheus", Json.String text) ]
 
-let shutdown_response ?id () =
-  Json.to_string
-    (Json.Obj
-       (id_field id
-       @ [ ("status", Json.String "ok"); ("stopping", Json.Bool true) ]))
+let shutdown_response ?id () = frame ?id "ok" [ ("stopping", Json.Bool true) ]
 
 (* ---- client-side response view ---- *)
 

@@ -60,10 +60,9 @@ let default_config ~socket_path =
     queue_depth = 64;
     default_deadline_ms = None;
     default_limit = 100;
-    default_max_results =
-      Workload.Runner.default_budget.Workload.Runner.max_results_per_query;
+    default_max_results = Workload.Runner.default_limits.Run_stats.max_results;
     default_max_intermediate =
-      Workload.Runner.default_budget.Workload.Runner.max_intermediate_per_query;
+      Workload.Runner.default_limits.Run_stats.max_intermediate;
     trace_dir = None;
     trace_sample = 1;
     domains = 1;
@@ -191,17 +190,6 @@ let levels_of_stats stats =
   in
   (levels, misest)
 
-let qlog_stat_pairs stats =
-  [
-    ("results", stats.Run_stats.results);
-    ("intermediate", stats.Run_stats.intermediate);
-    ("scanned", stats.Run_stats.scanned);
-    ("bindings", stats.Run_stats.bindings);
-    ("enum_steps", stats.Run_stats.enum_steps);
-    ("seeks", stats.Run_stats.seeks);
-    ("est_intermediate", stats.Run_stats.est_intermediate);
-  ]
-
 let log_query t ~outcome ~duration_ms ?id ?fingerprint ?query ?method_ ?window
     ?stats ?plan_source () =
   match t.qlog with
@@ -212,7 +200,7 @@ let log_query t ~outcome ~duration_ms ?id ?fingerprint ?query ?method_ ?window
         | None -> ([], [], None)
         | Some s ->
             let levels, misest = levels_of_stats s in
-            (qlog_stat_pairs s, levels, misest)
+            (Run_stats.counters s, levels, misest)
       in
       ignore
         (Obs.Qlog.log q
@@ -584,11 +572,11 @@ let handle_unsubscribe t send (ur : Protocol.unsubscribe_request) =
 
 let handle_request t ~conn send line =
   match Protocol.parse_request line with
-  | Error msg ->
+  | Error (id, msg) ->
       Metrics.record_parse_error t.metrics;
-      log_query t ~outcome:Obs.Qlog.Rejected_query ~duration_ms:0.0
+      log_query t ~outcome:Obs.Qlog.Rejected_query ~duration_ms:0.0 ?id
         ~query:line ();
-      send (Protocol.error_response ~kind:"parse" msg)
+      send (Protocol.error_response ?id ~kind:"parse" msg)
   | Ok (Protocol.Ping id) -> send (Protocol.pong_response ?id ())
   | Ok (Protocol.Ingest ir) -> handle_ingest t send ir
   | Ok (Protocol.Subscribe sr) -> handle_subscribe t send conn sr

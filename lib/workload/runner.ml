@@ -1,12 +1,7 @@
 open Semantics
 
-type budget = {
-  max_results_per_query : int;
-  max_intermediate_per_query : int;
-}
-
-let default_budget =
-  { max_results_per_query = 100_000; max_intermediate_per_query = 5_000_000 }
+let default_limits =
+  { Run_stats.max_results = 100_000; max_intermediate = 5_000_000 }
 
 type measurement = {
   method_ : Engine.method_;
@@ -30,7 +25,7 @@ let percentile sorted p =
   if n = 0 then 0.0
   else sorted.(min (n - 1) (int_of_float (float_of_int (n - 1) *. p)))
 
-let run_method ?(budget = default_budget) ?obs ?tsrjoin_config ?pool ?domains
+let run_method ?(limits = default_limits) ?obs ?tsrjoin_config ?pool ?domains
     ?plan_cache engine method_ queries =
   let totals = Run_stats.create () in
   let n_truncated = ref 0 in
@@ -38,15 +33,7 @@ let run_method ?(budget = default_budget) ?obs ?tsrjoin_config ?pool ?domains
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun q ->
-      let stats =
-        Run_stats.create
-          ~limits:
-            {
-              Run_stats.max_results = budget.max_results_per_query;
-              max_intermediate = budget.max_intermediate_per_query;
-            }
-          ()
-      in
+      let stats = Run_stats.create ~limits () in
       let q0 = Unix.gettimeofday () in
       (try
          Engine.run ~stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache
@@ -95,44 +82,47 @@ let to_csv_row ?tag m =
     m.total_seconds m.total_results m.total_intermediate m.total_scanned
     m.total_seeks m.total_est_intermediate
 
-let int_array_json a =
-  Json_out.arr (Array.to_list (Array.map string_of_int a))
+module J = Obs.Json
 
-let measurement_to_json ?(extra = []) ?(raw = []) ?(obs = Obs.Sink.null) m =
+let int_array_json a = J.List (Array.to_list (Array.map (fun v -> J.Int v) a))
+
+(* timings print with microsecond precision *)
+let seconds s = J.Fixed (6, s)
+
+let measurement_to_json ?(fields = []) ?(obs = Obs.Sink.null) m =
   let phases =
     if not (Obs.Sink.enabled obs) then []
     else
       [
         ( "phases",
-          Json_out.obj
+          J.Obj
             (List.map
                (fun (r : Obs.Trace.row) ->
                  ( Obs.Phase.name r.Obs.Trace.phase,
-                   Json_out.obj
+                   J.Obj
                      [
-                       ("count", string_of_int r.Obs.Trace.count);
-                       ("total_s", Printf.sprintf "%.6f" r.Obs.Trace.total_s);
-                       ("self_s", Printf.sprintf "%.6f" r.Obs.Trace.self_s);
+                       ("count", J.Int r.Obs.Trace.count);
+                       ("total_s", seconds r.Obs.Trace.total_s);
+                       ("self_s", seconds r.Obs.Trace.self_s);
                      ] ))
                (Obs.Trace.summary obs)) );
       ]
   in
-  Json_out.obj
-    (List.map (fun (k, v) -> (k, Json_out.escape_string v)) extra
-    @ raw
+  J.Obj
+    (fields
     @ [
-        ("method", Json_out.escape_string (Engine.method_name m.method_));
-        ("n_queries", string_of_int m.n_queries);
-        ("n_truncated", string_of_int m.n_truncated);
-        ("total_s", Printf.sprintf "%.6f" m.total_seconds);
-        ("mean_s", Printf.sprintf "%.6f" m.mean_seconds);
-        ("p50_s", Printf.sprintf "%.6f" m.p50_seconds);
-        ("p95_s", Printf.sprintf "%.6f" m.p95_seconds);
-        ("results", string_of_int m.total_results);
-        ("intermediate", string_of_int m.total_intermediate);
-        ("scanned", string_of_int m.total_scanned);
-        ("seeks", string_of_int m.total_seeks);
-        ("est_intermediate", string_of_int m.total_est_intermediate);
+        ("method", J.String (Engine.method_name m.method_));
+        ("n_queries", J.Int m.n_queries);
+        ("n_truncated", J.Int m.n_truncated);
+        ("total_s", seconds m.total_seconds);
+        ("mean_s", seconds m.mean_seconds);
+        ("p50_s", seconds m.p50_seconds);
+        ("p95_s", seconds m.p95_seconds);
+        ("results", J.Int m.total_results);
+        ("intermediate", J.Int m.total_intermediate);
+        ("scanned", J.Int m.total_scanned);
+        ("seeks", J.Int m.total_seeks);
+        ("est_intermediate", J.Int m.total_est_intermediate);
         ("levels", int_array_json m.total_levels);
         ("est_levels", int_array_json m.total_est_levels);
       ]

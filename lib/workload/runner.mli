@@ -3,13 +3,8 @@
     analogue of the paper's timeouts), accumulating the counters behind
     Figs. 9-12. *)
 
-type budget = {
-  max_results_per_query : int;
-  max_intermediate_per_query : int;
-}
-
-val default_budget : budget
-(** 100K results, 5M intermediate tuples per query. *)
+val default_limits : Semantics.Run_stats.limits
+(** Per-query budgets: 100K results, 5M intermediate tuples. *)
 
 type measurement = {
   method_ : Engine.method_;
@@ -36,7 +31,7 @@ type measurement = {
 }
 
 val run_method :
-  ?budget:budget ->
+  ?limits:Semantics.Run_stats.limits ->
   ?obs:Obs.Sink.t ->
   ?tsrjoin_config:Tcsq_core.Tsrjoin.config ->
   ?pool:Exec.Pool.t ->
@@ -68,16 +63,13 @@ val to_csv_row : ?tag:string -> measurement -> string
     plotting. *)
 
 val measurement_to_json :
-  ?extra:(string * string) list ->
-  ?raw:(string * string) list ->
+  ?fields:(string * Obs.Json.t) list ->
   ?obs:Obs.Sink.t ->
   measurement ->
-  string
-(** One JSON object per measurement ([extra] string fields first, e.g.
-    experiment/dataset/pattern tags; [raw] fields follow verbatim —
-    already-valid JSON values such as numbers, e.g. the scaling
-    benchmark's [domains]/[speedup_vs_1]); the record format behind
-    [bench --json]. When [obs] is an enabled sink (typically the one
-    passed to {!run_method}), a trailing ["phases"] object carries its
-    per-phase count/total/self times. Schema documented in
-    EXPERIMENTS.md. *)
+  Obs.Json.t
+(** One JSON object per measurement, the record format behind
+    [bench --json]: [fields] first (e.g. experiment/dataset/pattern
+    tags, or the scaling benchmark's [domains]/[speedup_vs_1]), then the
+    measurement. When [obs] is an enabled sink (typically the one passed
+    to {!run_method}), a trailing ["phases"] object carries its per-phase
+    count/total/self times. Schema documented in EXPERIMENTS.md. *)

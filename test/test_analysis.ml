@@ -390,7 +390,7 @@ let test_explain_candidates_and_json () =
   List.iter
     (fun sub -> Alcotest.check Alcotest.bool sub true (contains ~sub txt))
     [ "plan cost-model (chosen)"; "ranking:"; "effective window" ];
-  let js = Explain.to_json ~label_names t in
+  let js = Obs.Json.to_string (Explain.to_json ~label_names t) in
   List.iter
     (fun sub -> Alcotest.check Alcotest.bool sub true (contains ~sub js))
     [
@@ -556,7 +556,7 @@ let test_exit_codes_and_json () =
   Alcotest.(check int) "hints" 0 (Diagnostic.exit_code [ h ]);
   Alcotest.(check int) "warnings" 1 (Diagnostic.exit_code [ h; w ]);
   Alcotest.(check int) "errors" 2 (Diagnostic.exit_code [ w; e ]);
-  let js = Diagnostic.to_json e in
+  let js = Obs.Json.to_string (Diagnostic.to_json e) in
   List.iter
     (fun sub ->
       Alcotest.check Alcotest.bool sub true (contains ~sub js))

@@ -199,10 +199,8 @@ let test_budget_truncation () =
   in
   let engine = Workload.Engine.prepare g in
   let q = Query.make ~n_vars:2 ~edges:[ (0, 0, 1) ] ~window:(window 0 19) in
-  let budget =
-    { Workload.Runner.max_results_per_query = 3; max_intermediate_per_query = 1_000_000 }
-  in
-  let m = Workload.Runner.run_method ~budget engine Workload.Engine.Tsrjoin [ q ] in
+  let limits = { Run_stats.max_results = 3; max_intermediate = 1_000_000 } in
+  let m = Workload.Runner.run_method ~limits engine Workload.Engine.Tsrjoin [ q ] in
   Alcotest.(check int) "one truncated query" 1 m.Workload.Runner.n_truncated
 
 let test_index_sizes_positive () =

@@ -1,6 +1,6 @@
 (* Coverage sweep for modules whose behaviour is otherwise only
    exercised indirectly: Volcano overflow behaviour, Sti_index lookups,
-   Time_pipeline expansion orders, Json_out encoding, Runner CSV,
+   Time_pipeline expansion orders, JSON encoding, Runner CSV,
    Engine method parsing, Durable helpers. *)
 
 open Semantics
@@ -59,20 +59,21 @@ let test_sti_index () =
   Alcotest.(check int) "edge resolution" 1
     (Tgraph.Edge.id (Relops.Sti_index.edge_of_item idx item))
 
-(* ---------- Json_out ---------- *)
+(* ---------- JSON encoding (Obs.Json, Match_result) ---------- *)
 
 let test_json_escaping () =
-  Alcotest.(check string) "plain" "\"abc\"" (Json_out.escape_string "abc");
+  let escape_string s = Obs.Json.to_string (Obs.Json.String s) in
+  Alcotest.(check string) "plain" "\"abc\"" (escape_string "abc");
   Alcotest.(check string) "quotes and backslash" "\"a\\\"b\\\\c\""
-    (Json_out.escape_string "a\"b\\c");
-  Alcotest.(check string) "newline" "\"a\\nb\"" (Json_out.escape_string "a\nb");
+    (escape_string "a\"b\\c");
+  Alcotest.(check string) "newline" "\"a\\nb\"" (escape_string "a\nb");
   Alcotest.(check string) "control char" "\"\\u0001\""
-    (Json_out.escape_string "\001")
+    (escape_string "\001")
 
 let test_json_match () =
   let g = Tgraph.Graph.of_edge_list [ (0, 1, 0, 2, 7) ] in
   let m = Match_result.make [| 0 |] (window 2 7) in
-  let json = Json_out.match_to_json g m in
+  let json = Obs.Json.to_string (Match_result.to_json g m) in
   Alcotest.(check bool) "mentions lifespan" true
     (Option.is_some
        (String.index_opt json 'l'));
@@ -80,9 +81,16 @@ let test_json_match () =
   let count c = String.fold_left (fun n x -> if x = c then n + 1 else n) 0 json in
   Alcotest.(check int) "balanced braces" (count '{') (count '}');
   Alcotest.(check int) "balanced brackets" (count '[') (count ']');
-  let arr = Json_out.matches_to_json g [ m; m ] in
+  Alcotest.(check string) "exact text"
+    "{\"edges\": [{\"id\": 0, \"src\": 0, \"dst\": 1, \"label\": \"l0\", \
+     \"ts\": 2, \"te\": 7}], \"lifespan\": {\"ts\": 2, \"te\": 7}}"
+    json;
+  let mj = Match_result.to_json g m in
+  let arr = Obs.Json.to_string_lines [ mj; mj ] in
   Alcotest.(check bool) "array form" true (arr.[0] = '[' && arr.[String.length arr - 1] = ']');
-  Alcotest.(check string) "csv row" "0,2,7" (Json_out.match_to_csv m)
+  Alcotest.(check string) "one match per line"
+    (Printf.sprintf "[%s,\n %s]" json json) arr;
+  Alcotest.(check string) "csv row" "0,2,7" (Match_result.to_csv m)
 
 (* ---------- Runner CSV ---------- *)
 

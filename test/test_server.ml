@@ -96,6 +96,52 @@ let test_json_roundtrip () =
       | Error _ -> ())
     [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2"; "{'a':1}" ]
 
+(* Strings of arbitrary bytes survive print -> parse, and printing is a
+   fixpoint of parsing for values of bounded depth. The generator keeps
+   floats to the forms the parser reads back unchanged: no [Fixed]/[Sig]
+   (they print fewer digits) and finite floats only. *)
+let json_gen =
+  let open QCheck.Gen in
+  let key = string_size ~gen:char (int_bound 6) in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) int;
+        map (fun f -> Json.Float f) (float_range (-1e20) 1e20);
+        map (fun s -> Json.String s) (string_size ~gen:char (int_bound 12));
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self depth ->
+         if depth = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               ( 1,
+                 map (fun l -> Json.List l)
+                   (list_size (int_bound 4) (self (depth - 1))) );
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_bound 4) (pair key (self (depth - 1)))) );
+             ])
+
+let prop_json_strings =
+  QCheck.Test.make ~name:"any byte string round-trips" ~count:500 QCheck.string
+    (fun s -> Json.parse (Json.to_string (Json.String s)) = Ok (Json.String s))
+
+let prop_json_print_fixpoint =
+  QCheck.Test.make ~name:"print, parse, print gives the same bytes" ~count:300
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v ->
+      let printed = Json.to_string v in
+      match Json.parse printed with
+      | Ok v' -> Json.to_string v' = printed
+      | Error _ -> false)
+
 (* ---- Run_stats deadline unit test (fake clock) ---- *)
 
 let test_deadline_fake_clock () =
@@ -503,7 +549,7 @@ let test_int_fields () =
         ~finally:(fun () -> Client.close client)
         (fun () ->
           List.iter
-            (fun (field, line, message) ->
+            (fun (field, line, message, id) ->
               Client.send_raw client line;
               match Client.recv client with
               | Error msg -> Alcotest.failf "%s response: %s" field msg
@@ -513,17 +559,23 @@ let test_int_fields () =
                   Alcotest.(check (option string))
                     (field ^ " kind") (Some "parse") r.Protocol.kind;
                   Alcotest.(check (option string))
-                    (field ^ " named") (Some message) r.Protocol.message)
+                    (field ^ " named") (Some message) r.Protocol.message;
+                  (* a refused request that parsed as JSON echoes its id *)
+                  Alcotest.(check (option string))
+                    (field ^ " id") id r.Protocol.id)
             [
               ( "limit",
-                {|{"op": "query", "query": "MATCH (x)-[l0]->(y) IN [0, 20]", "limit": 1e19}|},
-                {|field "limit" is not a representable integer|} );
+                {|{"op": "query", "query": "MATCH (x)-[l0]->(y) IN [0, 20]", "limit": 1e19, "id": "q-limit"}|},
+                {|field "limit" is not a representable integer|},
+                Some "q-limit" );
               ( "window_width",
                 {|{"op": "subscribe", "query": "MATCH (x)-[l0]->(y) IN [0, 20]", "window_width": 1e19}|},
-                {|field "window_width" is not a representable integer|} );
+                {|field "window_width" is not a representable integer|},
+                None );
               ( "ts",
                 {|{"op": "ingest", "edges": [{"src": 0, "dst": 1, "label": "l0", "ts": 4611686018427387904.0, "te": 4611686018427387905.0}]}|},
-                {|ingest edge field "ts" is not a representable integer|} );
+                {|ingest edge field "ts" is not a representable integer|},
+                None );
             ];
           Alcotest.(check bool) "ping" true (Client.ping client)))
 
@@ -822,8 +874,11 @@ let () =
   Alcotest.run "server"
     [
       ( "json",
-        [ Alcotest.test_case "parse/print roundtrip" `Quick test_json_roundtrip ]
-      );
+        [
+          Alcotest.test_case "parse/print roundtrip" `Quick test_json_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_strings;
+          QCheck_alcotest.to_alcotest prop_json_print_fixpoint;
+        ] );
       ( "deadline",
         [
           Alcotest.test_case "fake clock unit" `Quick test_deadline_fake_clock;
