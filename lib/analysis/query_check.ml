@@ -12,31 +12,16 @@ type env = {
 
 let env_of_graph g =
   let n_labels = Tgraph.Graph.n_labels g in
-  let label_counts = Array.make n_labels 0 in
-  let max_edge_len = ref 0 in
-  let label_spans = Array.make n_labels None in
-  let label_max_len = Array.make n_labels 0 in
-  Tgraph.Graph.iter_edges
-    (fun e ->
-      let l = Tgraph.Edge.lbl e in
-      let ivl = Tgraph.Edge.ivl e in
-      label_counts.(l) <- label_counts.(l) + 1;
-      max_edge_len := max !max_edge_len (Temporal.Interval.length ivl);
-      label_max_len.(l) <- max label_max_len.(l) (Temporal.Interval.length ivl);
-      label_spans.(l) <-
-        (match label_spans.(l) with
-        | None -> Some ivl
-        | Some sp -> Some (Temporal.Interval.span sp ivl)))
-    g;
+  let label_max_len = Array.init n_labels (Tgraph.Graph.label_max_len g) in
   {
     n_labels;
     label_names = Tgraph.Label.names (Tgraph.Graph.labels g);
-    label_counts;
+    label_counts = Array.init n_labels (Tgraph.Graph.label_count g);
     span =
       (if Tgraph.Graph.n_edges g = 0 then None
        else Some (Tgraph.Graph.time_domain g));
-    max_edge_len = !max_edge_len;
-    label_spans;
+    max_edge_len = Array.fold_left Int.max 0 label_max_len;
+    label_spans = Array.init n_labels (Tgraph.Graph.label_span g);
     label_max_len;
   }
 

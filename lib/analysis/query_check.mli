@@ -45,7 +45,8 @@ type env = {
 }
 
 val env_of_graph : Tgraph.Graph.t -> env
-(** One O(edges) scan. *)
+(** Read from the graph's per-label statistics, O(labels): no edge
+    scan. *)
 
 val check : ?env:env -> Semantics.Query.t -> Diagnostic.t list
 (** Structural checks, plus the graph-dependent ones when [env] is

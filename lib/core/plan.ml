@@ -74,22 +74,16 @@ type label_stats = {
 
 let label_stats_of_tai tai =
   let g = Tai.graph tai in
-  let n_labels = Tgraph.Graph.n_labels g in
-  let counts = Array.make n_labels 0 in
-  let len_sums = Array.make n_labels 0.0 in
-  Tgraph.Graph.iter_edges
-    (fun e ->
-      let l = Tgraph.Edge.lbl e in
-      counts.(l) <- counts.(l) + 1;
-      len_sums.(l) <-
-        len_sums.(l) +. float_of_int (Temporal.Interval.length (Tgraph.Edge.ivl e)))
-    g;
   let domain =
     if Tgraph.Graph.n_edges g = 0 then 1.0
     else float_of_int (Temporal.Interval.length (Tgraph.Graph.time_domain g))
   in
-  Array.init n_labels (fun l ->
-      let count = float_of_int counts.(l) in
+  Array.init (Tgraph.Graph.n_labels g) (fun l ->
+      let n = Tgraph.Graph.label_count g l in
+      (* the integer sum converts to the float a per-edge float sum
+         gives, as long as it stays below 2^53 *)
+      let len_sum = float_of_int (Tgraph.Graph.label_len_sum g l) in
+      let count = float_of_int n in
       let n_src = float_of_int (max 1 (Array.length (Tai.sources tai ~lbl:l))) in
       let n_dst =
         float_of_int (max 1 (Array.length (Tai.destinations tai ~lbl:l)))
@@ -99,10 +93,9 @@ let label_stats_of_tai tai =
         avg_out = max (count /. n_src) 1e-9;
         avg_in = max (count /. n_dst) 1e-9;
         overlap_prob =
-          (if counts.(l) = 0 then 1e-9
-           else min 1.0 (max 1e-9 (len_sums.(l) /. count /. domain)));
-        mean_len =
-          (if counts.(l) = 0 then 1.0 else max 1.0 (len_sums.(l) /. count));
+          (if n = 0 then 1e-9
+           else min 1.0 (max 1e-9 (len_sum /. count /. domain)));
+        mean_len = (if n = 0 then 1.0 else max 1.0 (len_sum /. count));
       })
 
 let aggregate_stats stats =

@@ -27,7 +27,9 @@ val query : t -> Semantics.Query.t
 type cost_model
 (** Per-graph statistics backing the planner (label frequencies, key-set
     cardinalities, temporal overlap probabilities). Build it once per
-    TAI and reuse across queries — computing it scans the edge table. *)
+    TAI and reuse across queries. Computing it reads the graph's
+    per-label statistics ({!Tgraph.Graph.label_count} and kin) and the
+    TAI's key sets; it scans no edges. *)
 
 val cost_model : Tai.t -> cost_model
 

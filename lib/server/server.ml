@@ -430,18 +430,21 @@ let handle_query t send (qr : Protocol.query_request) =
    buffered [Tai.merge] per batch, which re-sorts nothing and recomputes
    ECI coverage only for the touched (label, endpoint) groups — then
    swaps in a fresh engine around the maintained TAI
-   ([Engine.prepare_with_tai]: no index rebuilds; adjacency and STI-CP
-   are rebuilt lazily iff a later request uses those methods) and
+   ([Engine.prepare_with_tai]: no index rebuilds, and no edge scan,
+   since its cost model and analyzer env read the statistics
+   [Graph.append] extends from the batch; adjacency and STI-CP are
+   rebuilt lazily iff a later request uses those methods) and
    invalidates the plan cache (plans and estimates are functions of
    graph statistics that just changed). Labels not yet interned are
    interned here: the label table is shared and append-only, so queries
    compiled against the old graph stay valid. In-flight queries finish
    on the engine they captured at admission.
 
-   Standing-query deltas are pushed *before* the ingest response is
-   written, so a client that subscribes and ingests on one connection
-   has every delta of a batch on the wire once it reads the batch's
-   ingest ack. *)
+   Standing-query deltas are computed from the batch (plain queries
+   evaluate only the matches that bind a batch edge, see
+   [Subscription]) and pushed *before* the ingest response is written,
+   so a client that subscribes and ingests on one connection has every
+   delta of a batch on the wire once it reads the batch's ingest ack. *)
 let handle_ingest t send (ir : Protocol.ingest_request) =
   Mutex.lock t.ingest_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.ingest_mutex) @@ fun () ->

@@ -1,8 +1,121 @@
+(* Planner statistics of one label, kept beside the edge table so the
+   cost model, histograms and analyzer read them without an edge scan.
+   [append] extends them from the new edges only. *)
+type label_stats = {
+  starts : int array; (* edge starts, ascending *)
+  ends : int array; (* edge ends, ascending *)
+  len_sum : int; (* sum of interval lengths *)
+  max_len : int;
+}
+
 type t = {
   labels : Label.t;
   edges : Edge.t array;
   n_vertices : int;
+  domain : Temporal.Interval.t option; (* None iff no edges *)
+  stats : label_stats array; (* per label id interned when built *)
 }
+
+let no_stats = { starts = [||]; ends = [||]; len_sum = 0; max_len = 0 }
+
+(* [extend_domain] and [extend_stats] fold edges [lo, hi) of [edges]
+   into statistics covering the edges before [lo]: construction is the
+   extension of empty statistics *)
+let extend_domain domain edges lo hi =
+  if lo >= hi then domain
+  else begin
+    let ts, te =
+      match domain with
+      | Some d -> (ref (Temporal.Interval.ts d), ref (Temporal.Interval.te d))
+      | None -> (ref max_int, ref min_int)
+    in
+    for i = lo to hi - 1 do
+      ts := Int.min !ts (Edge.ts edges.(i));
+      te := Int.max !te (Edge.te edges.(i))
+    done;
+    Some (Temporal.Interval.make !ts !te)
+  end
+
+(* number of elements of the ascending array [a] below [t], searching
+   from index [lo] on *)
+let count_below ~lo (a : int array) t =
+  let lo = ref lo and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if a.(mid) < t then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* merge of the ascending arrays [a] and [b], [b] the short one: each
+   element of [b] is placed by binary search, and the runs of [a]
+   between them are copied over *)
+let merge_sorted a b =
+  let na = Array.length a and nb = Array.length b in
+  if nb = 0 then a
+  else if na = 0 then b
+  else begin
+    let out = Array.make (na + nb) 0 in
+    let i = ref 0 in
+    let copy_run hi shift =
+      for q = !i to hi - 1 do
+        out.(q + shift) <- a.(q)
+      done;
+      i := hi
+    in
+    Array.iteri
+      (fun j x ->
+        let k = count_below ~lo:!i a x in
+        copy_run k j;
+        out.(k + j) <- x)
+      b;
+    copy_run na nb;
+    out
+  end
+
+let extend_stats stats ~n_labels edges lo hi =
+  let fresh = Array.make n_labels 0 in
+  for i = lo to hi - 1 do
+    let l = Edge.lbl edges.(i) in
+    fresh.(l) <- fresh.(l) + 1
+  done;
+  let starts = Array.map (fun n -> Array.make n 0) fresh in
+  let ends = Array.map (fun n -> Array.make n 0) fresh in
+  let fill = Array.make n_labels 0 in
+  let len_sum = Array.make n_labels 0 and max_len = Array.make n_labels 0 in
+  for i = lo to hi - 1 do
+    let e = edges.(i) in
+    let l = Edge.lbl e and len = Temporal.Interval.length (Edge.ivl e) in
+    starts.(l).(fill.(l)) <- Edge.ts e;
+    ends.(l).(fill.(l)) <- Edge.te e;
+    fill.(l) <- fill.(l) + 1;
+    len_sum.(l) <- len_sum.(l) + len;
+    max_len.(l) <- Int.max max_len.(l) len
+  done;
+  Array.init n_labels (fun l ->
+      let old = if l < Array.length stats then stats.(l) else no_stats in
+      if fresh.(l) = 0 then old
+      else begin
+        (* the merge sort: on int arrays it beats [Array.sort]'s heap
+           sort, and this is most of a graph load's added cost *)
+        Array.stable_sort Int.compare starts.(l);
+        Array.stable_sort Int.compare ends.(l);
+        {
+          starts = merge_sorted old.starts starts.(l);
+          ends = merge_sorted old.ends ends.(l);
+          len_sum = old.len_sum + len_sum.(l);
+          max_len = Int.max old.max_len max_len.(l);
+        }
+      end)
+
+let of_edges labels edges n_vertices =
+  let n = Array.length edges in
+  {
+    labels;
+    edges;
+    n_vertices;
+    domain = extend_domain None edges 0 n;
+    stats = extend_stats [||] ~n_labels:(Label.count labels) edges 0 n;
+  }
 
 module Builder = struct
   type t = {
@@ -35,11 +148,7 @@ module Builder = struct
   let n_edges b = Temporal.Vec.length b.acc
 
   let finish b =
-    {
-      labels = b.labels;
-      edges = Temporal.Vec.to_array b.acc;
-      n_vertices = b.max_vertex + 1;
-    }
+    of_edges b.labels (Temporal.Vec.to_array b.acc) (b.max_vertex + 1)
 end
 
 let labels g = g.labels
@@ -57,14 +166,28 @@ let iter_edges f g = Array.iter f g.edges
 let fold_edges f init g = Array.fold_left f init g.edges
 
 let time_domain g =
-  if Array.length g.edges = 0 then invalid_arg "Graph.time_domain: empty graph";
-  let ts = ref max_int and te = ref min_int in
-  Array.iter
-    (fun e ->
-      ts := min !ts (Edge.ts e);
-      te := max !te (Edge.te e))
-    g.edges;
-  Temporal.Interval.make !ts !te
+  match g.domain with
+  | Some d -> d
+  | None -> invalid_arg "Graph.time_domain: empty graph"
+
+let label_stats g l =
+  if l >= 0 && l < Array.length g.stats then g.stats.(l) else no_stats
+
+let label_count g l = Array.length (label_stats g l).starts
+
+let label_span g l =
+  let s = label_stats g l in
+  let n = Array.length s.starts in
+  if n = 0 then None
+  else Some (Temporal.Interval.make s.starts.(0) s.ends.(n - 1))
+
+let label_len_sum g l = (label_stats g l).len_sum
+let label_max_len g l = (label_stats g l).max_len
+
+let count_starting_before g ~lbl t =
+  count_below ~lo:0 (label_stats g lbl).starts t
+
+let count_ending_before g ~lbl t = count_below ~lo:0 (label_stats g lbl).ends t
 
 let window_of_fraction g ~frac ~at =
   if frac <= 0.0 || frac > 1.0 then
@@ -87,7 +210,7 @@ let prefix g k =
   Array.iter
     (fun e -> max_vertex := max !max_vertex (max (Edge.src e) (Edge.dst e)))
     edges;
-  { labels = g.labels; edges; n_vertices = !max_vertex + 1 }
+  of_edges g.labels edges (!max_vertex + 1)
 
 let of_edge_list ?labels l =
   let b = Builder.create ?labels () in
@@ -120,7 +243,15 @@ let append g l =
   List.iter
     (fun e -> max_vertex := max !max_vertex (max (Edge.src e) (Edge.dst e)))
     extra;
-  { g with edges; n_vertices = !max_vertex + 1 }
+  let m = Array.length edges in
+  {
+    g with
+    edges;
+    n_vertices = !max_vertex + 1;
+    domain = extend_domain g.domain edges n m;
+    stats =
+      extend_stats g.stats ~n_labels:(Label.count g.labels) edges n m;
+  }
 
 let pp_summary fmt g =
   Format.fprintf fmt "graph{|V|=%d |E|=%d |L|=%d%t}" (n_vertices g) (n_edges g)

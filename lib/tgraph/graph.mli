@@ -41,8 +41,37 @@ val iter_edges : (Edge.t -> unit) -> t -> unit
 val fold_edges : ('a -> Edge.t -> 'a) -> 'a -> t -> 'a
 
 val time_domain : t -> Temporal.Interval.t
-(** The smallest interval covering every edge.
+(** The smallest interval covering every edge. O(1): kept with the
+    graph and extended by {!append}.
     @raise Invalid_argument on an empty graph. *)
+
+(** {2 Per-label statistics}
+
+    Computed when the graph is built and extended by {!append} from the
+    new edges only, so the planner's cost model, its temporal histograms
+    and the analyzer read them without scanning edges. A label interned
+    into the shared table after the graph was built reads as empty, as
+    does any id outside the table. *)
+
+val label_count : t -> int -> int
+(** Edges carrying the label. *)
+
+val label_span : t -> int -> Temporal.Interval.t option
+(** The smallest interval covering the label's edges; [None] when it
+    has none. *)
+
+val label_len_sum : t -> int -> int
+(** Sum of the label's interval lengths. *)
+
+val label_max_len : t -> int -> int
+(** Longest interval length of the label, 0 when it has no edges. *)
+
+val count_starting_before : t -> lbl:int -> int -> int
+(** [count_starting_before g ~lbl t] is the number of label-[lbl] edges
+    with [ts < t]; O(log n). *)
+
+val count_ending_before : t -> lbl:int -> int -> int
+(** Likewise for [te < t]. *)
 
 val window_of_fraction : t -> frac:float -> at:float -> Temporal.Interval.t
 (** [window_of_fraction g ~frac ~at] is a query window spanning [frac]

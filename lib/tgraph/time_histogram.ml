@@ -20,20 +20,31 @@ let build ?(n_buckets = 64) g =
     let domain_start = Temporal.Interval.ts domain in
     let total = Temporal.Interval.length domain in
     let bucket_width = max 1 ((total + n_buckets - 1) / n_buckets) in
-    let counts = Array.init (max 1 n_labels) (fun _ -> Array.make n_buckets 0.0) in
-    let totals = Array.make (max 1 n_labels) 0 in
-    let bucket_of t =
-      min (n_buckets - 1) (max 0 ((t - domain_start) / bucket_width))
+    (* an edge counts in buckets [bucket (ts), bucket (te)], the bucket
+       index clamped to [0, n_buckets - 1]; so bucket [b] holds the edges
+       with [ts < lo (b + 1)] (all of them in the last bucket) less those
+       with [te < lo b] (none in the first), where [lo b] is the bucket's
+       first tick. Both counts are binary searches in the graph's
+       sorted per-label starts and ends. *)
+    let lo b = domain_start + (b * bucket_width) in
+    let counts =
+      Array.init (max 1 n_labels) (fun l ->
+          let c = Array.make n_buckets 0.0 in
+          let n = Graph.label_count g l in
+          if n > 0 then
+            for b = 0 to n_buckets - 1 do
+              let started =
+                if b = n_buckets - 1 then n
+                else Graph.count_starting_before g ~lbl:l (lo (b + 1))
+              in
+              let ended =
+                if b = 0 then 0 else Graph.count_ending_before g ~lbl:l (lo b)
+              in
+              c.(b) <- float_of_int (started - ended)
+            done;
+          c)
     in
-    Graph.iter_edges
-      (fun e ->
-        let l = Edge.lbl e in
-        totals.(l) <- totals.(l) + 1;
-        let b0 = bucket_of (Edge.ts e) and b1 = bucket_of (Edge.te e) in
-        for b = b0 to b1 do
-          counts.(l).(b) <- counts.(l).(b) +. 1.0
-        done)
-      g;
+    let totals = Array.init (max 1 n_labels) (Graph.label_count g) in
     { domain_start; bucket_width; counts; totals }
   end
 

@@ -93,6 +93,14 @@ let measurement_to_json ?(fields = []) ?(obs = Obs.Sink.null) m =
   let phases =
     if not (Obs.Sink.enabled obs) then []
     else
+      (* keys in [Phase.all] order: the summary ranks rows by measured
+         time, which differs from run to run *)
+      let rows =
+        List.sort
+          (fun (a : Obs.Trace.row) (b : Obs.Trace.row) ->
+            Int.compare (Obs.Phase.index a.phase) (Obs.Phase.index b.phase))
+          (Obs.Trace.summary obs)
+      in
       [
         ( "phases",
           J.Obj
@@ -105,7 +113,7 @@ let measurement_to_json ?(fields = []) ?(obs = Obs.Sink.null) m =
                        ("total_s", seconds r.Obs.Trace.total_s);
                        ("self_s", seconds r.Obs.Trace.self_s);
                      ] ))
-               (Obs.Trace.summary obs)) );
+               rows) );
       ]
   in
   J.Obj

@@ -182,6 +182,62 @@ let test_sink_fake_clock () =
   Alcotest.(check (float 1e-9)) "root = sum of top-level spans" 3.75
     (Obs.Trace.root_seconds obs)
 
+(* bench records write "phases" in [Phase.all] order, whatever the
+   measured times: two sinks that rank the same phases oppositely by
+   self time give one key order *)
+let test_measurement_phase_order () =
+  let sink ~probe ~slice =
+    let t = ref 0.0 in
+    let obs = Obs.Sink.create ~clock:(fun () -> !t) () in
+    Obs.Sink.span obs Obs.Phase.Tai_probe (fun () -> t := !t +. probe);
+    Obs.Sink.span obs Obs.Phase.Tsr_slice (fun () -> t := !t +. slice);
+    obs
+  in
+  let fast = sink ~probe:1.0 ~slice:2.0 and slow = sink ~probe:2.0 ~slice:1.0 in
+  let ranked obs =
+    List.map (fun (r : Obs.Trace.row) -> r.Obs.Trace.phase)
+      (Obs.Trace.summary obs)
+  in
+  Alcotest.(check bool) "the summaries rank oppositely" true
+    (ranked fast = List.rev (ranked slow));
+  let m =
+    {
+      Workload.Runner.method_ = Workload.Engine.Tsrjoin;
+      n_queries = 1;
+      n_truncated = 0;
+      total_seconds = 0.0;
+      mean_seconds = 0.0;
+      p50_seconds = 0.0;
+      p95_seconds = 0.0;
+      total_results = 0;
+      total_intermediate = 0;
+      total_scanned = 0;
+      total_seeks = 0;
+      total_est_intermediate = 0;
+      total_levels = [||];
+      total_est_levels = [||];
+    }
+  in
+  let keys obs =
+    match
+      Obs.Json.member "phases" (Workload.Runner.measurement_to_json ~obs m)
+    with
+    | Some (Obs.Json.Obj kvs) -> List.map fst kvs
+    | _ -> Alcotest.fail "no phases object"
+  in
+  let in_index_order =
+    List.filter_map
+      (fun p ->
+        if List.mem p [ Obs.Phase.Tai_probe; Obs.Phase.Tsr_slice ] then
+          Some (Obs.Phase.name p)
+        else None)
+      (Array.to_list Obs.Phase.all)
+  in
+  Alcotest.(check (list string)) "fast sink: Phase.all order" in_index_order
+    (keys fast);
+  Alcotest.(check (list string)) "slow sink: same order" in_index_order
+    (keys slow)
+
 let test_sink_bounded_buffer () =
   let t = ref 0.0 in
   let obs = Obs.Sink.create ~max_events:4 ~clock:(fun () -> !t) () in
@@ -340,6 +396,8 @@ let () =
           Alcotest.test_case "bounded event buffer" `Quick
             test_sink_bounded_buffer;
           Alcotest.test_case "phase indexing" `Quick test_phase_indexing;
+          Alcotest.test_case "bench phases in Phase.all order" `Quick
+            test_measurement_phase_order;
         ] );
       ( "quantiles",
         [

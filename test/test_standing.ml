@@ -221,6 +221,156 @@ let test_fanout () =
     (List.length !d1);
   Alcotest.(check int) "survivor keeps receiving" 4 (List.length !d2)
 
+(* ---- the delta rule = the full-refresh diff, batch by batch ---- *)
+
+(* [subscribe] one random standing query, append 1-4 random batches and
+   check every pushed delta against Naive: [added] and [retracted] are
+   the two differences between the fresh results before and after the
+   batch. Cores are random (wildcards, self loops, disconnected parts),
+   plain ones sometimes LASTING; a quarter are decorated and must keep
+   the full re-evaluation. Windows are fixed or sliding. Batch edges
+   start anywhere in the domain (out of order), may touch vertices the
+   graph has never seen, and one batch in three carries a label
+   interned just before it. *)
+let prop_delta_is_refresh_diff =
+  QCheck.Test.make ~name:"delta = full-refresh diff (vs Naive)" ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed; 22 |] in
+      let n_labels = 3 and domain = 40 and n_vertices = 5 in
+      let g =
+        Test_util.random_graph ~seed ~n_vertices
+          ~n_edges:(8 + Random.State.int rng 25)
+          ~n_labels ~domain ~max_len:10 ()
+      in
+      let ws = Random.State.int rng domain in
+      let w = window ws (ws + Random.State.int rng 25) in
+      let eq =
+        if Random.State.int rng 4 = 0 then
+          Testkit.random_equery ~seed ~n_labels ~max_edges:3 ~window:w
+        else
+          let q = Testkit.random_query ~seed ~n_labels ~max_edges:3 ~window:w in
+          Equery.plain
+            (if Random.State.bool rng then q
+             else Query.with_min_duration q (1 + Random.State.int rng 6))
+      in
+      let width =
+        if Random.State.bool rng then None
+        else Some (3 + Random.State.int rng 25)
+      in
+      let expected_window gb =
+        match width with
+        | None -> Query.window (Equery.core eq)
+        | Some width ->
+            let hi = Temporal.Interval.te (Tgraph.Graph.time_domain gb) in
+            window (hi - width + 1) hi
+      in
+      let fresh gb =
+        MS.of_list (Naive.evaluate_ext gb (Equery.with_window eq (expected_window gb)))
+      in
+      let inc =
+        Tcsq_core.Incremental.of_tai ~merge_threshold:1 g (Tcsq_core.Tai.build g)
+      in
+      let subs = Subscription.create () in
+      let deltas = ref [] in
+      let _, _, initial =
+        Subscription.subscribe subs
+          ~engine:(Workload.Engine.prepare_with_tai g (Tcsq_core.Incremental.tai inc))
+          ?window_width:width
+          ~push:(fun d -> deltas := d :: !deltas)
+          eq
+      in
+      if not (MS.equal (MS.of_list initial) (fresh g)) then
+        QCheck.Test.fail_report "initial snapshot differs from Naive";
+      let labels = Tgraph.Graph.labels g in
+      let prev = ref (fresh g) in
+      for batch = 1 to 1 + Random.State.int rng 4 do
+        let fresh_label =
+          if Random.State.int rng 3 = 0 then
+            Some
+              (Tgraph.Label.intern labels (Printf.sprintf "new%d" batch))
+          else None
+        in
+        for _ = 1 to 1 + Random.State.int rng 5 do
+          let lbl =
+            match fresh_label with
+            | Some l when Random.State.bool rng -> l
+            | _ -> Random.State.int rng n_labels
+          in
+          let ts = Random.State.int rng (domain + 10) in
+          ignore
+            (Tcsq_core.Incremental.add_edge inc
+               ~src:(Random.State.int rng (n_vertices + 2))
+               ~dst:(Random.State.int rng (n_vertices + 2))
+               ~lbl ~ts ~te:(ts + Random.State.int rng 10))
+        done;
+        let gb = Tcsq_core.Incremental.graph inc in
+        deltas := [];
+        Subscription.on_ingest subs
+          ~engine:(Workload.Engine.prepare_with_tai gb (Tcsq_core.Incremental.tai inc))
+          ~generation:batch;
+        let next = fresh gb in
+        let same what expected actual =
+          if not (List.equal Match_result.equal (MS.elements expected) actual)
+          then
+            QCheck.Test.fail_reportf "batch %d: %s has %d matches, Naive %d"
+              batch what (List.length actual) (MS.cardinal expected)
+        in
+        (match !deltas with
+        | [ d ] ->
+            same "added" (MS.diff next !prev) d.Subscription.added;
+            same "retracted" (MS.diff !prev next) d.Subscription.retracted;
+            if
+              not
+                (Temporal.Interval.equal d.Subscription.window
+                   (expected_window gb))
+            then QCheck.Test.fail_reportf "batch %d: wrong window" batch;
+            if d.Subscription.total <> MS.cardinal next then
+              QCheck.Test.fail_reportf "batch %d: wrong total" batch
+        | ds ->
+            QCheck.Test.fail_reportf "batch %d: %d deltas, expected 1" batch
+              (List.length ds));
+        prev := next
+      done;
+      true)
+
+(* NOT is not monotone in its right input: an antijoin edge arriving in
+   a fixed window cuts a standing match's lifespan, so the old piece is
+   retracted and the shorter ones added. A delta that only looked for
+   matches of new edges would miss both. *)
+let test_decorated_full_refresh () =
+  let g = Tgraph.Graph.of_edge_list [ (0, 1, 0, 0, 10); (2, 3, 1, 0, 1) ] in
+  let inc = Tcsq_core.Incremental.of_tai g (Tcsq_core.Tai.build g) in
+  let subs = Subscription.create () in
+  let eq =
+    match
+      Qlang.parse_and_compile_ext g "MATCH (x)-[l0]->(y) NOT (y)-[l1]->(x) IN [0, 20]"
+    with
+    | Ok eq -> eq
+    | Error msg -> Alcotest.fail msg
+  in
+  let acc, deltas, push = recorder () in
+  let _, _, initial =
+    Subscription.subscribe subs
+      ~engine:(Workload.Engine.prepare_with_tai g (Tcsq_core.Incremental.tai inc))
+      ~push eq
+  in
+  acc := MS.of_list initial;
+  Alcotest.(check int) "one standing piece" 1 (List.length initial);
+  ignore (Tcsq_core.Incremental.add_edge inc ~src:1 ~dst:0 ~lbl:1 ~ts:4 ~te:5);
+  let gb = Tcsq_core.Incremental.graph inc in
+  Subscription.on_ingest subs
+    ~engine:(Workload.Engine.prepare_with_tai gb (Tcsq_core.Incremental.tai inc))
+    ~generation:1;
+  (match !deltas with
+  | [ d ] ->
+      Alcotest.(check int) "the old piece is retracted" 1
+        (List.length d.Subscription.retracted);
+      Alcotest.(check int) "two shorter pieces are added" 2
+        (List.length d.Subscription.added)
+  | ds -> Alcotest.failf "expected one delta, got %d" (List.length ds));
+  check_acc ~msg:"after the antijoin edge" acc (Naive.evaluate_ext gb eq)
+
 (* ---- end-to-end over the wire ---- *)
 
 let fresh_socket_path =
@@ -352,7 +502,14 @@ let () =
           Alcotest.test_case "sliding windows retract" `Quick
             test_sliding_retraction;
           Alcotest.test_case "fan-out and unsubscribe" `Quick test_fanout;
-        ] );
+          Alcotest.test_case "decorated queries refresh in full" `Quick
+            test_decorated_full_refresh;
+        ]
+        (* Kept in this suite: a longer suite name widens Alcotest's name
+           column and truncates the displayed name of the wire cases. *)
+        @ List.map
+            (QCheck_alcotest.to_alcotest ~long:false)
+            [ prop_delta_is_refresh_diff ] );
       ( "wire",
         [
           Alcotest.test_case "subscribe / ingest / delta / unsubscribe"
