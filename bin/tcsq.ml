@@ -562,6 +562,7 @@ let topk_cmd =
     Arg.(value & opt int 10 & info [ "k" ] ~docv:"K" ~doc:"How many matches.")
   in
   let run g q k =
+    if k < 1 then or_die (Error "TOP needs a count >= 1");
     let eq = q g in
     let q =
       if Semantics.Equery.is_plain eq then Semantics.Equery.core eq
@@ -571,12 +572,14 @@ let topk_cmd =
              "tcsq topk takes a plain query; run an extended query with a \
               'TOP k' aggregate through 'tcsq query' instead")
     in
-    let tai = Tcsq_core.Tai.build g in
-    let top = Tcsq_core.Durable.top_k tai q ~k in
+    let module Top_k = Semantics.Match_result.Top_k in
+    let top = Top_k.create k in
+    Tcsq_core.Tsrjoin.run (Tcsq_core.Tai.build g) q ~emit:(Top_k.offer top);
+    let top = Top_k.drain top in
     List.iter
       (fun m ->
         Format.printf "%4d ticks  %a@."
-          (Tcsq_core.Durable.durability m)
+          (Semantics.Match_result.durability m)
           Semantics.Match_result.pp m)
       top;
     Format.printf "(%d most durable matches)@." (List.length top)

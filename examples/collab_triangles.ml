@@ -57,6 +57,9 @@ let () =
   (* Top-5 most durable triangles of the decade (streamed through a
      bounded heap; memory stays O(k)). *)
   Format.printf "most durable collaborations:@.";
+  let top = Semantics.Match_result.Top_k.create 5 in
+  Tcsq_core.Tsrjoin.run ~cost tai nineties
+    ~emit:(Semantics.Match_result.Top_k.offer top);
   List.iter
     (fun m ->
       let people =
@@ -71,7 +74,7 @@ let () =
         (String.concat ", " people)
         Temporal.Interval.pp m.Semantics.Match_result.life
         (Temporal.Interval.length m.Semantics.Match_result.life))
-    (Tcsq_core.Durable.top_k ~cost tai nineties ~k:5);
+    (Semantics.Match_result.Top_k.drain top);
 
   (* the durable-query variant: triangles lasting at least 2 years *)
   Format.printf "triangles lasting >= 24 months in the decade: %d@."

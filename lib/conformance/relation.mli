@@ -104,9 +104,10 @@ val allen_filter : t
     Derives nothing on single-edge cores. *)
 
 val aggregate_topk : t
-(** [q TOP k] equals the deterministic durability top-k selection
-    ({!Semantics.Analytics.top_durable}) applied to the base result
-    set. *)
+(** [q TOP k] equals the deterministic durability top-k of the base
+    result set (longest lifespan first, ties by
+    {!Semantics.Match_result.compare}), computed by a sort-and-take
+    that shares no code with {!Semantics.Match_result.Top_k}. *)
 
 val all : t list
 (** The twelve relations above, in a fixed order: the original seven

@@ -26,13 +26,6 @@ val peak :
 (** The histogram bucket with the most active matches ([None] for an
     empty match list or a histogram of zeros). *)
 
-val top_durable : k:int -> Match_result.t list -> Match_result.t list
-(** The [k] most durable matches, deterministically: longest lifespan
-    first, ties broken by {!Match_result.compare}. Deterministic
-    selection keeps the durability top-k aggregate comparable across
-    engines.
-    @raise Invalid_argument when [k < 1]. *)
-
 type durability_summary = {
   count : int;
   min_len : int;

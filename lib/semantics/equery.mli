@@ -90,23 +90,25 @@ val allen_ok :
 (** Whether the match satisfies every constraint, by classifying the
     bound graph-edge intervals. *)
 
-type prepared
-(** Per-graph clause indexes, built once and reused across matches. *)
-
-val prepare : Tgraph.Graph.t -> t -> prepared
-
-val decorate : prepared -> Match_result.t -> Match_result.t list
-(** The pieces of one core match (empty when an Allen constraint fails
-    or nothing durable survives the clause arithmetic). For a query
-    without decorations this is the identity (a singleton). *)
-
 val select : t -> Match_result.t list -> Match_result.t list
-(** Applies the aggregate selection: [TOP k] keeps the deterministic
-    durability top-k ({!Analytics.top_durable}); [COUNT] and no
+(** The aggregate stage of {!run_with} over a list of pieces: [TOP k]
+    keeps the durability top-k ({!Match_result.Top_k}); [COUNT] and no
     aggregate pass through. *)
+
+val run_with :
+  (Query.t -> emit:(Match_result.t -> unit) -> unit) ->
+  Tgraph.Graph.t ->
+  t ->
+  emit:(Match_result.t -> unit) ->
+  unit
+(** [run_with run g eq ~emit], the one extended pipeline: runs the core
+    through [run], cuts each match into its pieces, and hands each piece
+    to [emit] or, under [TOP k], to a {!Match_result.Top_k} drained into
+    [emit] once [run] returns (so nothing is emitted if it raises).
+    Without decorations or aggregate, [emit] goes to [run] unchanged.
+    [run] must call its [emit] from one thread at a time. *)
 
 val evaluate_with :
   (Query.t -> Match_result.t list) -> Tgraph.Graph.t -> t -> Match_result.t list
-(** [evaluate_with eval g eq]: runs the core through [eval], decorates
-    every match, applies {!select}. The universal extended evaluator —
-    pass any engine's core evaluation as [eval]. *)
+(** {!run_with} over any engine's list-returning core evaluation: the
+    pieces in [eval]'s order, or the [TOP k] selection. *)

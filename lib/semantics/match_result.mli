@@ -49,3 +49,24 @@ module Result_set : sig
   (** [None] when equal; otherwise a human-readable digest of the first
       few missing/extra matches. *)
 end
+
+val durability : t -> int
+(** Lifespan length: what [TOP k] ranks by (Semertzidis & Pitoura's
+    "most durable patterns"). *)
+
+(** The one [TOP k] selection: the [k] most durable matches offered,
+    longest lifespan first, ties broken by {!compare}. A min-heap keeps
+    at most [k] of them; its array grows with the matches kept and is
+    never sized from [k]. *)
+module Top_k : sig
+  type match_t := t
+  type t
+
+  val create : int -> t
+  (** @raise Invalid_argument when [k < 1]. *)
+
+  val offer : t -> match_t -> unit
+
+  val drain : t -> match_t list
+  (** The selection, most durable first; empties it. *)
+end

@@ -10,6 +10,7 @@
      {"op": "subscribe", "query": "MATCH ...", "window_width": 500,
       "id": "optional tag"}
      {"op": "unsubscribe", "sub": 3, "id": "optional tag"}
+       (only from the connection that subscribed)
      {"op": "metrics"}   {"op": "metrics_prom"}
      {"op": "ping"}      {"op": "shutdown"}
 

@@ -21,9 +21,6 @@ val of_interval : Interval.t -> t
 val of_list : Interval.t list -> t
 (** Sorts, merges overlapping and adjacent intervals. *)
 
-val normalize : Interval.t list -> t
-(** Alias of {!of_list}. *)
-
 val union : t -> t -> t
 val inter : t -> t -> t
 

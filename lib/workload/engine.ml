@@ -267,23 +267,13 @@ let evaluate_ext ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache
 
 let run_ext ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache
     ?plan_source t method_ eq ~emit =
-  match Semantics.Equery.agg eq with
-  | Some (Semantics.Equery.Top _) ->
-      (* top-k is a selection over the full result set: collect first *)
-      List.iter emit
-        (evaluate_ext ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache
-           ?plan_source t method_ eq)
-  | Some Semantics.Equery.Count | None ->
-      if not (Semantics.Equery.has_decorations eq) then
-        run ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache
-          ?plan_source t method_ (Semantics.Equery.core eq) ~emit
-      else begin
-        let p = Semantics.Equery.prepare t.graph eq in
-        let tsrjoin_config = ext_config tsrjoin_config eq in
-        run ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache
-          ?plan_source t method_ (Semantics.Equery.core eq) ~emit:(fun m ->
-            List.iter emit (Semantics.Equery.decorate p m))
-      end
+  let tsrjoin_config = ext_config tsrjoin_config eq in
+  (* parallel [run] serializes [emit], so the TOP k heap needs no lock *)
+  Semantics.Equery.run_with
+    (fun q ~emit ->
+      run ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache ?plan_source
+        t method_ q ~emit)
+    t.graph eq ~emit
 
 let index_size_words t = function
   | Tsrjoin -> Tcsq_core.Tai.size_words (tai t)

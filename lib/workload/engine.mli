@@ -150,8 +150,9 @@ val run_ext :
   Semantics.Equery.t ->
   emit:(Semantics.Match_result.t -> unit) ->
   unit
-(** Streams pieces. A [TOP k] aggregate needs the full result set, so
-    that case collects internally and emits the selection. *)
+(** Streams pieces through {!Semantics.Equery.run_with}. Under [TOP k]
+    each piece is offered to a bounded durability selection, emitted
+    once the run completes (nothing is emitted when the run raises). *)
 
 val evaluate_ext :
   ?stats:Semantics.Run_stats.t ->

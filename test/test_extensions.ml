@@ -97,10 +97,17 @@ let prop_adaptive_equivalent =
 
 (* ---------- top-k durable matches ---------- *)
 
+let top_k tai q k =
+  let top = Match_result.Top_k.create k in
+  Tsrjoin.run tai q ~emit:(Match_result.Top_k.offer top);
+  Match_result.Top_k.drain top
+
 let top_k_by_sorting tai q k =
   Tsrjoin.evaluate tai q
   |> List.sort (fun a b ->
-         let c = Int.compare (Durable.durability b) (Durable.durability a) in
+         let c =
+           Int.compare (Match_result.durability b) (Match_result.durability a)
+         in
          if c <> 0 then c else Match_result.compare a b)
   |> List.filteri (fun i _ -> i < k)
 
@@ -115,7 +122,7 @@ let test_top_k_matches_sorting () =
       List.iter
         (fun k ->
           let expected = top_k_by_sorting tai q k in
-          let actual = Durable.top_k tai q ~k in
+          let actual = top_k tai q k in
           if
             not
               (List.equal
@@ -124,7 +131,7 @@ let test_top_k_matches_sorting () =
           then
             Alcotest.failf "query %d, k = %d: top-k mismatch (%d vs %d items)" i
               k (List.length expected) (List.length actual))
-        [ 0; 1; 3; 10; 1000 ])
+        [ 1; 2; 3; 10; 1000; max_int ])
     (Test_util.query_pool ~n_labels:3 ~window:(window 8 30))
 
 let test_top_k_ordering () =
@@ -136,22 +143,38 @@ let test_top_k_ordering () =
   let q =
     Query.make ~n_vars:3 ~edges:[ (0, 0, 1); (1, 0, 2) ] ~window:(window 0 29)
   in
-  let top = Durable.top_k tai q ~k:5 in
+  let top = top_k tai q 5 in
   let rec non_increasing = function
     | a :: (b :: _ as rest) ->
-        Durable.durability a >= Durable.durability b && non_increasing rest
+        let da = Match_result.durability a and db = Match_result.durability b in
+        (da > db || (da = db && Match_result.compare a b < 0))
+        && non_increasing rest
     | [ _ ] | [] -> true
   in
-  Alcotest.(check bool) "sorted by durability" true (non_increasing top)
+  Alcotest.(check int) "five kept" 5 (List.length top);
+  Alcotest.(check bool) "sorted by durability, then match order" true
+    (non_increasing top);
+  (* the drain empties the selection *)
+  let sel = Match_result.Top_k.create 2 in
+  List.iter (Match_result.Top_k.offer sel) top;
+  Alcotest.(check int) "first drain" 2 (List.length (Match_result.Top_k.drain sel));
+  Alcotest.(check int) "second drain" 0 (List.length (Match_result.Top_k.drain sel))
 
 let test_top_k_validation () =
-  let g = Tgraph.Graph.of_edge_list [ (0, 1, 0, 0, 5) ] in
+  let g = Tgraph.Graph.of_edge_list [ (0, 1, 0, 0, 5); (2, 3, 0, 1, 2) ] in
   let tai = Tai.build g in
   let q = Query.make ~n_vars:2 ~edges:[ (0, 0, 1) ] ~window:(window 0 9) in
-  Alcotest.check_raises "negative k" (Invalid_argument "") (fun () ->
-      try ignore (Durable.top_k tai q ~k:(-1))
-      with Invalid_argument _ -> raise (Invalid_argument ""));
-  Alcotest.(check int) "k = 0" 0 (List.length (Durable.top_k tai q ~k:0))
+  List.iter
+    (fun k ->
+      Alcotest.check_raises
+        (Printf.sprintf "k = %d" k)
+        (Invalid_argument "Match_result.Top_k.create: need k >= 1")
+        (fun () -> ignore (Match_result.Top_k.create k)))
+    [ 0; -1; min_int ];
+  (* storage follows the matches kept, not k: a huge k keeps everything *)
+  Alcotest.(check (list int)) "huge k = every match, most durable first"
+    [ 6; 2 ]
+    (List.map Match_result.durability (top_k tai q (max_int - 1)))
 
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 

@@ -1,7 +1,7 @@
 (* Coverage sweep for modules whose behaviour is otherwise only
    exercised indirectly: Volcano overflow behaviour, Sti_index lookups,
    Time_pipeline expansion orders, JSON encoding, Runner CSV,
-   Engine method parsing, Durable helpers. *)
+   Engine method parsing, the durability of a match. *)
 
 open Semantics
 
@@ -129,11 +129,11 @@ let test_method_parsing () =
   Alcotest.(check bool) "unknown" true
     (Workload.Engine.method_of_string "quantum" = None)
 
-(* ---------- Durable helper ---------- *)
+(* ---------- durability ---------- *)
 
 let test_durability_helper () =
   let m = Match_result.make [| 0 |] (window 3 7) in
-  Alcotest.(check int) "durability = length" 5 (Tcsq_core.Durable.durability m)
+  Alcotest.(check int) "durability = length" 5 (Semantics.Match_result.durability m)
 
 (* ---------- Slice / Tsr fringe ---------- *)
 

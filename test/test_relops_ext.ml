@@ -158,6 +158,20 @@ let test_allen_filters () =
 
 (* ---- aggregates ---- *)
 
+(* the test's own durability top-k: sort the whole list, take k *)
+let sort_top_k ~k ms =
+  let longer a b =
+    let c = Int.compare (Match_result.durability b) (Match_result.durability a) in
+    if c <> 0 then c else Match_result.compare a b
+  in
+  List.filteri (fun i _ -> i < k) (List.sort longer ms)
+
+let run_ext_list ?stats ~domains engine m eq =
+  let out = ref [] in
+  Workload.Engine.run_ext ?stats ~domains engine m eq ~emit:(fun x ->
+      out := x :: !out);
+  List.rev !out
+
 let test_aggregates () =
   let g = hand_graph () in
   let base = Naive.evaluate_ext g (eok g "MATCH (x)-[a]->(y) IN [0, 9]") in
@@ -172,12 +186,17 @@ let test_aggregates () =
     (fun (name, eq, expected) ->
       Array.iter
         (fun m ->
-          let n = ref 0 in
-          Workload.Engine.run_ext engine m eq ~emit:(fun _ -> incr n);
-          let what = Workload.Engine.method_name m ^ " " ^ name in
-          Alcotest.(check int) (what ^ " count") expected !n;
-          Alcotest.(check int) (what ^ " = evaluate_ext") !n
-            (List.length (Workload.Engine.evaluate_ext engine m eq)))
+          List.iter
+            (fun domains ->
+              let n = List.length (run_ext_list ~domains engine m eq) in
+              let what =
+                Printf.sprintf "%s %s domains %d"
+                  (Workload.Engine.method_name m) name domains
+              in
+              Alcotest.(check int) (what ^ " count") expected n;
+              Alcotest.(check int) (what ^ " = evaluate_ext") n
+                (List.length (Workload.Engine.evaluate_ext ~domains engine m eq)))
+            [ 1; 3 ])
         Workload.Engine.all_methods)
     [
       ("COUNT", cq, List.length base);
@@ -189,7 +208,7 @@ let test_aggregates () =
         eok g "MATCH (x)-[a]->(y) EXISTS (y)-[b]->() IN [0, 9] TOP 1",
         1 );
     ];
-  let expected = Analytics.top_durable ~k:1 base in
+  let expected = sort_top_k ~k:1 base in
   Alcotest.(check int) "top-1 selects one match" 1 (List.length expected);
   check_rs "naive TOP 1 = durability selection" expected
     (Naive.evaluate_ext g tq);
@@ -199,6 +218,21 @@ let test_aggregates () =
         (Workload.Engine.method_name m ^ " TOP 1")
         expected
         (Workload.Engine.evaluate_ext engine m tq))
+    Workload.Engine.all_methods;
+  (* a run cut short by its budget emits none of the TOP k selection *)
+  Array.iter
+    (fun m ->
+      let stats = Run_stats.create ~limits:(Run_stats.with_max_results 1) () in
+      let n = ref 0 in
+      match
+        Workload.Engine.run_ext ~stats engine m tq ~emit:(fun _ -> incr n)
+      with
+      | () -> Alcotest.failf "%s: TOP 1 ran past a 1-result budget"
+                (Workload.Engine.method_name m)
+      | exception Run_stats.Limit_exceeded _ ->
+          Alcotest.(check int)
+            (Workload.Engine.method_name m ^ " truncated TOP 1 emits nothing")
+            0 !n)
     Workload.Engine.all_methods
 
 (* ---- per-family differential over random graphs ---- *)
@@ -328,6 +362,44 @@ let prop_differential =
                 (Workload.Engine.method_name m) d)
         Workload.Engine.all_methods)
 
+(* streaming TOP k through [run_ext] (a bounded heap fed per piece,
+   from the serialized emit under [domains > 1]) equals sorting the
+   whole aggregate-free naive result and taking k *)
+let prop_streamed_top_k =
+  QCheck.Test.make ~name:"streamed TOP k = sort-and-take" ~count:20
+    QCheck.(pair (int_range 0 100_000) (int_range 1 6))
+    (fun (seed, k) ->
+      let g =
+        Testkit.random_graph ~seed ~n_vertices:5 ~n_edges:30 ~n_labels:3
+          ~domain:20 ~max_len:6 ()
+      in
+      let q =
+        Testkit.random_query ~seed:((seed * 3) + 1) ~n_labels:3 ~max_edges:3
+          ~window:(I.make 0 19)
+      in
+      let engine = Workload.Engine.prepare g in
+      List.for_all
+        (fun (shape, eq) ->
+          let expected = sort_top_k ~k (Naive.evaluate_ext g eq) in
+          let eq = Equery.with_agg eq (Some (Equery.Top k)) in
+          Array.for_all
+            (fun m ->
+              List.for_all
+                (fun domains ->
+                  List.equal Match_result.equal expected
+                    (run_ext_list ~domains engine m eq)
+                  || QCheck.Test.fail_reportf "%s %s core, domains %d: TOP %d \
+                                               differs from sort-and-take"
+                       (Workload.Engine.method_name m) shape domains k)
+                [ 1; 3 ])
+            Workload.Engine.all_methods)
+        [
+          ("plain", Equery.plain q);
+          ("NOT", anti_family seed q);
+          ("EXISTS", semi_family seed q);
+          ("Allen", allen_family seed q);
+        ])
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -363,7 +435,8 @@ let () =
           Alcotest.test_case "COUNT and TOP k" `Quick test_aggregates;
           Alcotest.test_case "differential" `Quick
             (family_case "top" top_family);
-        ] );
+        ]
+        @ qsuite [ prop_streamed_top_k ] );
       ( "properties",
         qsuite
           [ prop_allen_conventions; prop_render_roundtrip; prop_differential ]

@@ -97,8 +97,11 @@ let test_wildcard_parallel_and_topk () =
   let sequential = Tsrjoin.evaluate tai q in
   Test_util.check_same_results ~msg:"parallel wildcard" sequential
     (Exec.Parallel.evaluate ~domains:3 tai q);
-  let top = Durable.top_k tai q ~k:5 in
-  Alcotest.(check int) "top-k size" (min 5 (List.length sequential)) (List.length top)
+  (* the selection fed from the parallel driver's serialized emit *)
+  let top = Match_result.Top_k.create 5 in
+  Exec.Parallel.run ~domains:3 tai q ~emit:(Match_result.Top_k.offer top);
+  Alcotest.(check int) "top-k size" (min 5 (List.length sequential))
+    (List.length (Match_result.Top_k.drain top))
 
 let test_wildcard_multi_window () =
   let g = graph () in
