@@ -43,29 +43,21 @@ let () =
   Format.printf "rush hour 17:00-19:00: %d three-road jams@." (List.length jams);
 
   (* Print the three longest-lasting jams. *)
-  let by_duration =
-    List.sort
-      (fun a b ->
-        Int.compare
-          (Temporal.Interval.length b.Semantics.Match_result.life)
-          (Temporal.Interval.length a.Semantics.Match_result.life))
-      jams
-  in
+  let longest = Semantics.Match_result.Top_k.create 3 in
+  List.iter (Semantics.Match_result.Top_k.offer longest) jams;
   List.iteri
     (fun i m ->
-      if i < 3 then begin
-        let hops =
-          Array.to_list m.Semantics.Match_result.edges
-          |> List.map (fun id ->
-                 let e = Tgraph.Graph.edge g id in
-                 Printf.sprintf "%d->%d" (Tgraph.Edge.src e) (Tgraph.Edge.dst e))
-        in
-        Format.printf "  jam %d: %s jointly congested %a (%d min)@." (i + 1)
-          (String.concat " " hops)
-          Temporal.Interval.pp m.Semantics.Match_result.life
-          (Temporal.Interval.length m.Semantics.Match_result.life)
-      end)
-    by_duration;
+      let hops =
+        Array.to_list m.Semantics.Match_result.edges
+        |> List.map (fun id ->
+               let e = Tgraph.Graph.edge g id in
+               Printf.sprintf "%d->%d" (Tgraph.Edge.src e) (Tgraph.Edge.dst e))
+      in
+      Format.printf "  jam %d: %s jointly congested %a (%d min)@." (i + 1)
+        (String.concat " " hops)
+        Temporal.Interval.pp m.Semantics.Match_result.life
+        (Semantics.Match_result.durability m))
+    (Semantics.Match_result.Top_k.drain longest);
 
   (* Same pattern at day scale: the window is the whole day. *)
   let whole_day = Temporal.Interval.make 0 ((24 * 60) - 1) in
