@@ -56,8 +56,8 @@ let () =
       let victims = Hashtbl.create 8 in
       let outcome =
         match
-          Workload.Engine.run ~stats engine Workload.Engine.Tsrjoin q
-            ~emit:(fun m ->
+          Workload.Engine.run_ext ~stats engine Workload.Engine.Tsrjoin
+            (Semantics.Equery.plain q) ~emit:(fun m ->
               let e =
                 Tgraph.Graph.edge g m.Semantics.Match_result.edges.(0)
               in
@@ -85,10 +85,13 @@ let () =
              "MATCH (v)<-[*]-(a) IN [0, 3659]")
       in
       let inbound =
-        Workload.Engine.evaluate engine Workload.Engine.Tsrjoin host7
-        |> List.filter (fun m ->
-               let e = Tgraph.Graph.edge g m.Semantics.Match_result.edges.(0) in
-               Tgraph.Edge.dst e = 7)
+        Semantics.Match_result.collect (fun emit ->
+            Workload.Engine.run_ext engine Workload.Engine.Tsrjoin
+              (Semantics.Equery.plain host7) ~emit:(fun m ->
+                let e =
+                  Tgraph.Graph.edge g m.Semantics.Match_result.edges.(0)
+                in
+                if Tgraph.Edge.dst e = 7 then emit m))
       in
       match
         Semantics.Analytics.peak ~n_buckets:60

@@ -77,7 +77,8 @@ let () =
     let compare = compare
   end) in
   let pairs = ref P.empty in
-  Workload.Engine.run engine Workload.Engine.Tsrjoin q ~emit:(fun m ->
+  Workload.Engine.run_ext engine Workload.Engine.Tsrjoin
+    (Semantics.Equery.plain q) ~emit:(fun m ->
       let e0 = Tgraph.Graph.edge g m.Semantics.Match_result.edges.(0) in
       let e2 = Tgraph.Graph.edge g m.Semantics.Match_result.edges.(2) in
       let a = Tgraph.Edge.src e0 and b = Tgraph.Edge.src e2 in

@@ -59,7 +59,8 @@ let () =
     now := !now + 600;
     let t0 = Unix.gettimeofday () in
     let stars =
-      Tcsq_core.Incremental.evaluate inc (attack_star ~now:!now)
+      Tcsq_core.Tsrjoin.evaluate (Tcsq_core.Incremental.tai inc)
+        (attack_star ~now:!now)
     in
     Format.printf "%4d  %8d  %7d  %16d  %.1f@." tick
       (Tcsq_core.Incremental.n_edges inc)

@@ -39,12 +39,14 @@ let () =
   in
   let q = jam_chain 3 rush_hour in
   let stats = Semantics.Run_stats.create () in
-  let jams = Workload.Engine.evaluate ~stats engine Workload.Engine.Tsrjoin q in
-  Format.printf "rush hour 17:00-19:00: %d three-road jams@." (List.length jams);
-
-  (* Print the three longest-lasting jams. *)
+  (* Count the jams and keep the three longest-lasting ones. *)
+  let n_jams = ref 0 in
   let longest = Semantics.Match_result.Top_k.create 3 in
-  List.iter (Semantics.Match_result.Top_k.offer longest) jams;
+  Workload.Engine.run_ext ~stats engine Workload.Engine.Tsrjoin
+    (Semantics.Equery.plain q) ~emit:(fun m ->
+      incr n_jams;
+      Semantics.Match_result.Top_k.offer longest m);
+  Format.printf "rush hour 17:00-19:00: %d three-road jams@." !n_jams;
   List.iteri
     (fun i m ->
       let hops =
@@ -78,8 +80,10 @@ let () =
 
   (* Jams per hour: one shared evaluation over the whole day, bucketed. *)
   let day_jams =
-    Workload.Engine.evaluate engine Workload.Engine.Tsrjoin
-      (jam_chain 3 whole_day)
+    Semantics.Match_result.collect (fun emit ->
+        Workload.Engine.run_ext engine Workload.Engine.Tsrjoin
+          (Semantics.Equery.plain (jam_chain 3 whole_day))
+          ~emit)
   in
   let hist =
     Semantics.Analytics.lifespan_histogram ~n_buckets:24 ~over:whole_day day_jams

@@ -101,14 +101,16 @@ let check_parallel cache (case : Case.t) ~domains =
   let par_stats = Run_stats.create () in
   match
     let eng = Runner.engine c in
-    let seq =
-      Workload.Engine.evaluate_ext ~stats:seq_stats eng Workload.Engine.Tsrjoin
-        case.Case.query
+    let run ?pool ~stats domains =
+      Match_result.collect (fun emit ->
+          Workload.Engine.run_ext ~stats ?pool ~domains eng
+            Workload.Engine.Tsrjoin case.Case.query ~emit)
     in
+    let seq = run ~stats:seq_stats 1 in
     let par =
-      Workload.Engine.evaluate_ext ~stats:par_stats
+      run ~stats:par_stats
         ~pool:(Exec.Parallel.shared_pool ~at_least:domains)
-        ~domains eng Workload.Engine.Tsrjoin case.Case.query
+        domains
     in
     (seq, par)
   with

@@ -75,7 +75,9 @@ let engine_variant name ?tsrjoin_config method_ =
     name;
     eval =
       (fun c eq ->
-        Workload.Engine.evaluate_ext ?tsrjoin_config (engine c) method_ eq);
+        Match_result.collect (fun emit ->
+            Workload.Engine.run_ext ?tsrjoin_config (engine c) method_ eq
+              ~emit));
   }
 
 let standard =
@@ -101,13 +103,14 @@ let adaptive =
             Tcsq_core.Tsrjoin.allen = Equery.allen eq;
           }
         in
-        Equery.evaluate_with
-          (fun q ->
-            let plan =
-              Tcsq_core.Plan.build_adaptive ~cost ~defer_ratio:2.0 tai q
-            in
-            Tcsq_core.Tsrjoin.evaluate ~config ~plan tai q)
-          c.g eq);
+        Match_result.collect (fun emit ->
+            Equery.run_with
+              (fun q ~emit ->
+                let plan =
+                  Tcsq_core.Plan.build_adaptive ~cost ~defer_ratio:2.0 tai q
+                in
+                Tcsq_core.Tsrjoin.run ~config ~plan tai q ~emit)
+              c.g eq ~emit));
   }
 
 (* cached-vs-fresh differential: every query runs twice through the
@@ -126,14 +129,13 @@ let cached =
         let e = engine c in
         let hits () = (Workload.Plan_cache.counters cache).Workload.Plan_cache.hits in
         let before = hits () in
-        let r1 =
-          Workload.Engine.evaluate_ext ~plan_cache:cache e
-            Workload.Engine.Tsrjoin eq
+        let pass () =
+          Match_result.collect (fun emit ->
+              Workload.Engine.run_ext ~plan_cache:cache e
+                Workload.Engine.Tsrjoin eq ~emit)
         in
-        let r2 =
-          Workload.Engine.evaluate_ext ~plan_cache:cache e
-            Workload.Engine.Tsrjoin eq
-        in
+        let r1 = pass () in
+        let r2 = pass () in
         if hits () <= before then
           raise
             (Eval_failed
@@ -158,9 +160,10 @@ let parallel ~domains =
     name = Printf.sprintf "tsrjoin-par%d" domains;
     eval =
       (fun c eq ->
-        Workload.Engine.evaluate_ext
-          ~pool:(Exec.Parallel.shared_pool ~at_least:domains)
-          ~domains (engine c) Workload.Engine.Tsrjoin eq);
+        Match_result.collect (fun emit ->
+            Workload.Engine.run_ext
+              ~pool:(Exec.Parallel.shared_pool ~at_least:domains)
+              ~domains (engine c) Workload.Engine.Tsrjoin eq ~emit));
   }
 
 (* generous wire-path budgets: conformance wants complete result sets,
@@ -214,7 +217,9 @@ let broken =
     eval =
       (fun c eq ->
         match
-          Workload.Engine.evaluate_ext (engine c) Workload.Engine.Tsrjoin eq
+          Match_result.collect (fun emit ->
+              Workload.Engine.run_ext (engine c) Workload.Engine.Tsrjoin eq
+                ~emit)
         with
         | [] -> []
         | _ :: rest -> rest);

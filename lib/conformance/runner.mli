@@ -48,8 +48,9 @@ val cached : t
     variants. *)
 
 val parallel : domains:int -> t
-(** [tsrjoin-parN]: {!Workload.Engine.evaluate_ext} with [~domains:N] on
-    the shared {!Exec.Pool}. *)
+(** [tsrjoin-parN]: {!Workload.Engine.run_ext} with [~domains:N] on
+    the shared {!Exec.Pool}; its emission order is nondeterministic, and
+    the harness compares result sets. *)
 
 val wire : t
 (** The server wire path: the query is rendered to extended query-language

@@ -35,11 +35,3 @@ val pending : t -> int
 (** Buffered edges not yet merged into the TAI. *)
 
 val n_edges : t -> int
-
-val evaluate :
-  ?stats:Semantics.Run_stats.t ->
-  ?config:Tsrjoin.config ->
-  t ->
-  Semantics.Query.t ->
-  Semantics.Match_result.t list
-(** TSRJoin evaluation against the current state (merges first). *)

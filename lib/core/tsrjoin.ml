@@ -240,9 +240,8 @@ let run ?stats ?(obs = Obs.Sink.null) ?(roots = All_roots)
   exec 0 (Temporal.Interval.make min_int max_int) qw
 
 let evaluate ?stats ?obs ?config ?plan ?cost tai q =
-  let acc = ref [] in
-  run ?stats ?obs ?config ?plan ?cost tai q ~emit:(fun m -> acc := m :: !acc);
-  List.rev !acc
+  Match_result.collect (fun emit ->
+      run ?stats ?obs ?config ?plan ?cost tai q ~emit)
 
 let count ?stats ?obs ?config ?plan ?cost tai q =
   let n = ref 0 in

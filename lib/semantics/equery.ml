@@ -220,13 +220,8 @@ let aggregate eq ~emit =
         fun () -> List.iter emit (Match_result.Top_k.drain top) )
   | Some Count | None -> (emit, ignore)
 
-let collect f =
-  let out = ref [] in
-  f (fun m -> out := m :: !out);
-  List.rev !out
-
 let select eq ms =
-  collect (fun emit ->
+  Match_result.collect (fun emit ->
       let offer, finish = aggregate eq ~emit in
       List.iter offer ms;
       finish ())
@@ -243,7 +238,3 @@ let run_with run g eq ~emit =
   in
   run eq.core ~emit:on_match;
   finish ()
-
-let evaluate_with eval g eq =
-  collect (fun emit ->
-      run_with (fun q ~emit -> List.iter emit (eval q)) g eq ~emit)

@@ -107,8 +107,3 @@ val run_with :
     [emit] once [run] returns (so nothing is emitted if it raises).
     Without decorations or aggregate, [emit] goes to [run] unchanged.
     [run] must call its [emit] from one thread at a time. *)
-
-val evaluate_with :
-  (Query.t -> Match_result.t list) -> Tgraph.Graph.t -> t -> Match_result.t list
-(** {!run_with} over any engine's list-returning core evaluation: the
-    pieces in [eval]'s order, or the [TOP k] selection. *)

@@ -18,6 +18,11 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+let collect run =
+  let out = ref [] in
+  run (fun m -> out := m :: !out);
+  List.rev !out
+
 let pp fmt m =
   Format.fprintf fmt "(%s, %a)"
     (String.concat ", "

@@ -11,6 +11,10 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
+val collect : ((t -> unit) -> unit) -> t list
+(** [collect run]: the matches [run] hands its emit callback, in the
+    order it emits them. Engines stream; this is their list form. *)
+
 val to_json : Tgraph.Graph.t -> t -> Obs.Json.t
 (** The one JSON form of a match, shared by [tcsq query --format json]
     and the wire protocol: edge bindings resolved against the graph,

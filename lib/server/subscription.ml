@@ -28,7 +28,7 @@
    window meets.
 
    Decorated queries (NOT/EXISTS/Allen/aggregates) are re-evaluated in
-   full through [Engine.evaluate_ext], and the delta is the difference
+   full through [Engine.run_ext], and the delta is the difference
    of the two result sets: NOT is not monotone in the graph (a new edge
    on its right side cuts a standing match), nor is TOP k.
 
@@ -102,8 +102,9 @@ let window_for mode ~fallback g =
       Temporal.Interval.make (hi - width + 1) hi
 
 let evaluate_at engine eq w =
-  Workload.Engine.evaluate_ext engine Workload.Engine.Tsrjoin
-    (Equery.with_window eq w)
+  Match_result.collect (fun emit ->
+      Workload.Engine.run_ext engine Workload.Engine.Tsrjoin
+        (Equery.with_window eq w) ~emit)
 
 let subscribe t ~engine ?conn ?tag ?window_width ~push eq =
   let mode =

@@ -207,31 +207,6 @@ let run ?stats ?(obs = Obs.Sink.null) ?tsrjoin_config ?pool ?(domains = 1)
   | Hybrid -> Relops.Hybrid.run ?stats (slot_force t.adjacency) q ~emit
   | Time -> Relops.Time_pipeline.run ?stats (slot_force t.sti_index) q ~emit
 
-let evaluate ?stats ?(obs = Obs.Sink.null) ?tsrjoin_config ?pool ?(domains = 1)
-    ?plan_cache ?plan_source t method_ q =
-  match method_ with
-  | Tsrjoin when domains > 1 ->
-      (* the parallel driver reconstructs the sequential order itself *)
-      Obs.Sink.span obs Obs.Phase.Run @@ fun () ->
-      with_tsrjoin_plan ?plan_cache ?plan_source ?stats ~obs t q
-        (fun ~plan ~stats ->
-          Exec.Parallel.evaluate ?pool ~domains ?stats ~obs
-            ?config:tsrjoin_config ~plan (tai t) q)
-  | _ ->
-      let acc = ref [] in
-      run ?stats ~obs ?tsrjoin_config ?pool ~domains ?plan_cache ?plan_source
-        t method_ q ~emit:(fun m -> acc := m :: !acc);
-      List.rev !acc
-
-let count ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache ?plan_source
-    t method_ q =
-  let n = ref 0 in
-  (* parallel [run] serializes [emit] under a mutex, so a ref suffices *)
-  run ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache ?plan_source t
-    method_ q
-    ~emit:(fun _ -> incr n);
-  !n
-
 (* ---- extended queries ---- *)
 
 (* Allen constraints ride into TSRJoin's config so the engine prunes
@@ -256,15 +231,6 @@ let tighten_ext t eq =
   in
   Semantics.Equery.with_window eq (Semantics.Query.window q)
 
-let evaluate_ext ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache
-    ?plan_source t method_ eq =
-  let tsrjoin_config = ext_config tsrjoin_config eq in
-  Semantics.Equery.evaluate_with
-    (fun q ->
-      evaluate ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache
-        ?plan_source t method_ q)
-    t.graph eq
-
 let run_ext ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache
     ?plan_source t method_ eq ~emit =
   let tsrjoin_config = ext_config tsrjoin_config eq in
@@ -274,6 +240,12 @@ let run_ext ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache
       run ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache ?plan_source
         t method_ q ~emit)
     t.graph eq ~emit
+
+let count ?stats ?domains t method_ q =
+  let n = ref 0 in
+  run_ext ?stats ?domains t method_ (Semantics.Equery.plain q) ~emit:(fun _ ->
+      incr n);
+  !n
 
 let index_size_words t = function
   | Tsrjoin -> Tcsq_core.Tai.size_words (tai t)

@@ -2,11 +2,12 @@
 
     Builds and owns all indexes so that the methods run against the same
     graph, and exposes the per-method storage/build-cost accounting of
-    Tables IV and V. Core queries run through {!run}/{!evaluate}/{!count},
-    extended ones through the [_ext] entry points. Checked execution is
-    a flow the caller runs ({!analyze_ext}; reject on errors, skip a
-    provably empty query; {!tighten_ext}; {!run_ext}) so the server can
-    lint on the connection thread and execute on a pool worker. *)
+    Tables IV and V. Every query, plain or extended, runs through one
+    executor, {!run_ext}; a plain query is {!Semantics.Equery.plain}.
+    {!count} is its match counter. Checked execution is a flow the
+    caller runs ({!analyze_ext}; reject on errors, skip a provably empty
+    query; {!tighten_ext}; {!run_ext}) so the server can lint on the
+    connection thread and execute on a pool worker. *)
 
 type method_ = Tsrjoin | Binary | Hybrid | Time
 
@@ -34,91 +35,7 @@ val target : t -> Analysis.Lint.target
 (** The engine's TAI with its cost model and analyzer env, built once by
     {!prepare}/{!prepare_with_tai}. *)
 
-val run :
-  ?stats:Semantics.Run_stats.t ->
-  ?obs:Obs.Sink.t ->
-  ?tsrjoin_config:Tcsq_core.Tsrjoin.config ->
-  ?pool:Exec.Pool.t ->
-  ?domains:int ->
-  ?plan_cache:Plan_cache.t ->
-  ?plan_source:Plan_cache.source option ref ->
-  t ->
-  method_ ->
-  Semantics.Query.t ->
-  emit:(Semantics.Match_result.t -> unit) ->
-  unit
-(** The optional arguments mean the same on every executor below.
-
-    May raise {!Semantics.Run_stats.Limit_exceeded} under budgets. For
-    {!Tsrjoin}, {!Tcsq_core.Tsrjoin.run} checks every plan it executes,
-    fresh or cached, against all seven [P001]–[P007] rules of
-    {!Tcsq_core.Plan.validate}; a planner bug raises [Invalid_argument]
-    instead of executing an invalid plan.
-
-    [domains > 1] (default 1) runs {!Tsrjoin} on [Exec.Parallel] —
-    work-stealing over root bindings with merged stats/obs and global
-    budgets; [emit] is then called from worker context (serialized,
-    order nondeterministic — {!evaluate} restores the sequential
-    order). Helper domains come from [pool] (default:
-    [Exec.Parallel.shared_pool]). The other methods ignore [domains]
-    and stay single-domain.
-
-    [obs] receives phase-attributed spans: the whole call under [run],
-    plan construction under [plan_select], and — for {!Tsrjoin} — the
-    engine phases (TAI probes, TSR slicing, leapfrog, sweeps) below it.
-    Instrumentation never changes results: with [Obs.Sink.null] (the
-    default) every site is a no-op.
-
-    [plan_cache] (TSRJoin only; the other methods have no planner)
-    consults a shared {!Plan_cache} before planning: a hit skips plan
-    construction and the selectivity estimate entirely (cache
-    bookkeeping is attributed to the [plan_cache] phase, so
-    [plan_select] self-time drops to ~0), a miss or feedback-triggered
-    re-plan builds and stores. After a successful execution the
-    observed per-level cardinalities are fed back to the cache entry.
-    Cached plans are validated against the incoming query, so results
-    are identical with and without a cache — only speed changes.
-    [plan_source] (when given) is set to where this query's plan came
-    from. *)
-
-val evaluate :
-  ?stats:Semantics.Run_stats.t ->
-  ?obs:Obs.Sink.t ->
-  ?tsrjoin_config:Tcsq_core.Tsrjoin.config ->
-  ?pool:Exec.Pool.t ->
-  ?domains:int ->
-  ?plan_cache:Plan_cache.t ->
-  ?plan_source:Plan_cache.source option ref ->
-  t ->
-  method_ ->
-  Semantics.Query.t ->
-  Semantics.Match_result.t list
-(** Matches in the engine's sequential emission order, for every
-    [domains] value ([Exec.Parallel.evaluate] reconstructs it). *)
-
-val count :
-  ?stats:Semantics.Run_stats.t ->
-  ?obs:Obs.Sink.t ->
-  ?tsrjoin_config:Tcsq_core.Tsrjoin.config ->
-  ?pool:Exec.Pool.t ->
-  ?domains:int ->
-  ?plan_cache:Plan_cache.t ->
-  ?plan_source:Plan_cache.source option ref ->
-  t ->
-  method_ ->
-  Semantics.Query.t ->
-  int
-
-(** {2 Extended queries}
-
-    The [_ext] variants evaluate a {!Semantics.Equery.t}: the core
-    pattern runs through the chosen method unchanged, each match is then
-    decorated (antijoin/semijoin lifespan slicing, Allen post-filters)
-    and the aggregate selection applied. For {!Tsrjoin} the Allen
-    constraints are additionally pushed into the engine's config, so
-    misclassified pairs are pruned inside the join tree; the
-    post-filter re-check is idempotent. A plain query
-    ({!Semantics.Equery.plain}) takes exactly the non-ext path. *)
+(** {2 Queries} *)
 
 val analyze_ext :
   t -> method_ -> Semantics.Equery.t -> Analysis.Diagnostic.t list
@@ -150,22 +67,56 @@ val run_ext :
   Semantics.Equery.t ->
   emit:(Semantics.Match_result.t -> unit) ->
   unit
-(** Streams pieces through {!Semantics.Equery.run_with}. Under [TOP k]
-    each piece is offered to a bounded durability selection, emitted
-    once the run completes (nothing is emitted when the run raises). *)
+(** Streams the query's matches into [emit]. The core pattern runs
+    through the chosen method; {!Semantics.Equery.run_with} then cuts
+    each match into its pieces (antijoin/semijoin lifespan slicing,
+    Allen post-filters) and applies the aggregate. Under [TOP k] each
+    piece is offered to a bounded durability selection, emitted once
+    the run completes (nothing is emitted when the run raises). For
+    {!Tsrjoin} the Allen constraints are also pushed into the engine's
+    config, so misclassified pairs are pruned inside the join tree; the
+    post-filter re-check is idempotent. A plain query hands [emit]
+    straight to the method.
 
-val evaluate_ext :
+    May raise {!Semantics.Run_stats.Limit_exceeded} under budgets. For
+    {!Tsrjoin}, {!Tcsq_core.Tsrjoin.run} checks every plan it executes,
+    fresh or cached, against all seven [P001]–[P007] rules of
+    {!Tcsq_core.Plan.validate}; a planner bug raises [Invalid_argument]
+    instead of executing an invalid plan.
+
+    [domains > 1] (default 1) runs {!Tsrjoin} on [Exec.Parallel] —
+    work-stealing over root bindings with merged stats/obs and global
+    budgets; [emit] is then called from worker context (serialized,
+    order nondeterministic: compare such runs as sets). Helper domains
+    come from [pool] (default: [Exec.Parallel.shared_pool]). The other
+    methods ignore [domains] and stay single-domain.
+
+    [obs] receives phase-attributed spans: the core run under [run],
+    plan construction under [plan_select], and — for {!Tsrjoin} — the
+    engine phases (TAI probes, TSR slicing, leapfrog, sweeps) below it.
+    Instrumentation never changes results: with [Obs.Sink.null] (the
+    default) every site is a no-op.
+
+    [plan_cache] (TSRJoin only; the other methods have no planner)
+    consults a shared {!Plan_cache} before planning: a hit skips plan
+    construction and the selectivity estimate entirely (cache
+    bookkeeping is attributed to the [plan_cache] phase, so
+    [plan_select] self-time drops to ~0), a miss or feedback-triggered
+    re-plan builds and stores. After a successful execution the
+    observed per-level cardinalities are fed back to the cache entry.
+    Cached plans are validated against the incoming query, so results
+    are identical with and without a cache — only speed changes.
+    [plan_source] (when given) is set to where this query's plan came
+    from. *)
+
+val count :
   ?stats:Semantics.Run_stats.t ->
-  ?obs:Obs.Sink.t ->
-  ?tsrjoin_config:Tcsq_core.Tsrjoin.config ->
-  ?pool:Exec.Pool.t ->
   ?domains:int ->
-  ?plan_cache:Plan_cache.t ->
-  ?plan_source:Plan_cache.source option ref ->
   t ->
   method_ ->
-  Semantics.Equery.t ->
-  Semantics.Match_result.t list
+  Semantics.Query.t ->
+  int
+(** The number of matches {!run_ext} emits for the plain query. *)
 
 val index_size_words : t -> method_ -> int
 (** Table IV: TSRJOIN = TAI (three sorted edge copies, tries, ECIs);

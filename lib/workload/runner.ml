@@ -36,8 +36,8 @@ let run_method ?(limits = default_limits) ?obs ?tsrjoin_config ?pool ?domains
       let stats = Run_stats.create ~limits () in
       let q0 = Unix.gettimeofday () in
       (try
-         Engine.run ~stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache
-           engine method_ q
+         Engine.run_ext ~stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache
+           engine method_ (Equery.plain q)
            ~emit:(fun _ -> ())
        with Run_stats.Limit_exceeded _ -> incr n_truncated);
       per_query := (Unix.gettimeofday () -. q0) :: !per_query;

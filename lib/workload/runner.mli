@@ -41,7 +41,7 @@ val run_method :
   Engine.method_ ->
   Semantics.Query.t list ->
   measurement
-(** [domains]/[pool]/[plan_cache] are forwarded to {!Engine.run} — the
+(** [domains]/[pool]/[plan_cache] are forwarded to {!Engine.run_ext} — the
     domain-scaling and plan-cache benchmarks' levers. Merged parallel
     stats keep the deterministic counters identical to a 1-domain run,
     so only the timing columns

@@ -133,7 +133,7 @@ let check_all_engines ~msg g queries =
       Array.iter
         (fun m ->
           let actual =
-            Match_result.Result_set.of_list (Workload.Engine.evaluate engine m q)
+            Match_result.Result_set.of_list (Test_util.run engine m q)
           in
           match Match_result.Result_set.diff_summary ~expected ~actual with
           | None -> ()
@@ -186,7 +186,7 @@ let prop_engines_agree =
             (fun m ->
               Match_result.Result_set.equal expected
                 (Match_result.Result_set.of_list
-                   (Workload.Engine.evaluate engine m q)))
+                   (Test_util.run engine m q)))
             Workload.Engine.all_methods)
         queries)
 
@@ -292,7 +292,7 @@ let prop_engines_agree_random_structure =
         (fun m ->
           Match_result.Result_set.equal expected
             (Match_result.Result_set.of_list
-               (Workload.Engine.evaluate engine m q)))
+               (Test_util.run engine m q)))
         Workload.Engine.all_methods)
 
 let test_suite_roundtrip () =
@@ -335,8 +335,8 @@ let test_suite_roundtrip () =
             (fun i (orig, re) ->
               Test_util.check_same_results
                 ~msg:(Printf.sprintf "suite query %d" i)
-                (Workload.Engine.evaluate engine Workload.Engine.Tsrjoin orig)
-                (Workload.Engine.evaluate engine Workload.Engine.Tsrjoin re))
+                (Test_util.run engine Workload.Engine.Tsrjoin orig)
+                (Test_util.run engine Workload.Engine.Tsrjoin re))
             (List.combine queries reloaded));
   (* malformed lines are reported with positions *)
   match Workload.Suite.of_lines g [ "MATCH (x)-[zzz]->(y) IN [0, 5]" ] with

@@ -48,7 +48,7 @@ let test_all_engines_respect_duration () =
             (fun m ->
               let actual =
                 Match_result.Result_set.of_list
-                  (Workload.Engine.evaluate engine m q)
+                  (Test_util.run engine m q)
               in
               match
                 Match_result.Result_set.diff_summary ~expected ~actual
@@ -160,7 +160,7 @@ let prop_engines_agree_durable =
             (fun m ->
               Match_result.Result_set.equal expected
                 (Match_result.Result_set.of_list
-                   (Workload.Engine.evaluate engine m q)))
+                   (Test_util.run engine m q)))
             Workload.Engine.all_methods)
         (Test_util.query_pool ~n_labels:3 ~window:(window 4 18)))
 

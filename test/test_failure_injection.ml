@@ -36,7 +36,7 @@ let test_budget_then_clean_rerun () =
       | exception Run_stats.Limit_exceeded _ -> ());
       (* the engine and its indexes must be unaffected *)
       let actual =
-        Match_result.Result_set.of_list (Workload.Engine.evaluate engine m q)
+        Match_result.Result_set.of_list (Test_util.run engine m q)
       in
       match Match_result.Result_set.diff_summary ~expected ~actual with
       | None -> ()
@@ -75,7 +75,7 @@ let test_consumer_exception_propagates () =
     (fun m ->
       let seen = ref 0 in
       (match
-         Workload.Engine.run engine m q ~emit:(fun _ ->
+         Workload.Engine.run_ext engine m (Equery.plain q) ~emit:(fun _ ->
              incr seen;
              if !seen >= 2 then raise Consumer_stopped)
        with
@@ -86,7 +86,7 @@ let test_consumer_exception_propagates () =
       | exception Consumer_stopped -> ());
       (* reusable afterwards *)
       let actual =
-        Match_result.Result_set.of_list (Workload.Engine.evaluate engine m q)
+        Match_result.Result_set.of_list (Test_util.run engine m q)
       in
       match Match_result.Result_set.diff_summary ~expected ~actual with
       | None -> ()
@@ -134,7 +134,7 @@ let test_incremental_survives_query_failure () =
   ignore (Tcsq_core.Incremental.add_edge inc ~src:1 ~dst:2 ~lbl:1 ~ts:6 ~te:8);
   let expected = Naive.evaluate (Tcsq_core.Incremental.graph inc) q in
   Test_util.check_same_results ~msg:"incremental after failure" expected
-    (Tcsq_core.Incremental.evaluate inc q)
+    (Tcsq_core.Tsrjoin.evaluate (Tcsq_core.Incremental.tai inc) q)
 
 let test_io_failures () =
   Alcotest.check_raises "missing csv" (Sys_error "") (fun () ->

@@ -129,7 +129,7 @@ let test_incremental_query_correctness () =
       Match_result.Result_set.of_list (Naive.evaluate (Incremental.graph inc) q)
     in
     let actual =
-      Match_result.Result_set.of_list (Incremental.evaluate inc q)
+      Match_result.Result_set.of_list (Tsrjoin.evaluate (Incremental.tai inc) q)
     in
     match Match_result.Result_set.diff_summary ~expected ~actual with
     | None -> ()
@@ -216,9 +216,9 @@ let prop_streaming_engine_equals_rebuild =
               (fun m ->
                 Match_result.Result_set.equal
                   (Match_result.Result_set.of_list
-                     (Workload.Engine.evaluate rebuilt m q))
+                     (Test_util.run rebuilt m q))
                   (Match_result.Result_set.of_list
-                     (Workload.Engine.evaluate streamed m q)))
+                     (Test_util.run streamed m q)))
               Workload.Engine.all_methods)
           queries
       in

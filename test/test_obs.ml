@@ -22,9 +22,9 @@ let test_traced_equals_untraced () =
     (fun m ->
       List.iteri
         (fun qi q ->
-          let untraced = Workload.Engine.evaluate engine m q in
+          let untraced = Test_util.run engine m q in
           let traced =
-            Workload.Engine.evaluate ~obs:(live_sink ()) engine m q
+            Test_util.run ~obs:(live_sink ()) engine m q
           in
           Test_util.check_same_results
             ~msg:
@@ -51,7 +51,8 @@ let test_sink_never_drifts_counters () =
         (fun qi q ->
           let counters obs =
             let stats = Run_stats.create () in
-            Workload.Engine.run ?obs ~stats engine m q ~emit:(fun _ -> ());
+            Workload.Engine.run_ext ?obs ~stats engine m (Equery.plain q)
+              ~emit:(fun _ -> ());
             stats_fields stats
           in
           let plain = counters None in
@@ -76,8 +77,8 @@ let test_trace_export () =
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun q ->
-      Workload.Engine.run ~obs engine Workload.Engine.Tsrjoin q
-        ~emit:(fun _ -> ()))
+      Workload.Engine.run_ext ~obs engine Workload.Engine.Tsrjoin
+        (Equery.plain q) ~emit:(fun _ -> ()))
     queries;
   let wall = Unix.gettimeofday () -. t0 in
   (* the exported document is valid JSON with the trace/v1 shape *)

@@ -176,7 +176,7 @@ let test_engine_replans_once () =
     List.init 8 (fun _ ->
         let src = ref None in
         ignore
-          (Workload.Engine.evaluate ~plan_cache:cache ~plan_source:src e
+          (Test_util.run ~plan_cache:cache ~plan_source:src e
              Workload.Engine.Tsrjoin q);
         Option.get !src)
   in
@@ -221,13 +221,13 @@ let prop_cached_equals_fresh =
        QCheck.Gen.(int_bound 1_000_000))
     (fun seed ->
       let q = Testkit.random_query ~seed ~n_labels:4 ~max_edges:3 ~window in
-      let fresh = Workload.Engine.evaluate e Workload.Engine.Tsrjoin q in
+      let fresh = Test_util.run e Workload.Engine.Tsrjoin q in
       (* twice through the shared cache: miss-then-store, then hit *)
       let c1 =
-        Workload.Engine.evaluate ~plan_cache:cache e Workload.Engine.Tsrjoin q
+        Test_util.run ~plan_cache:cache e Workload.Engine.Tsrjoin q
       in
       let c2 =
-        Workload.Engine.evaluate ~plan_cache:cache e Workload.Engine.Tsrjoin q
+        Test_util.run ~plan_cache:cache e Workload.Engine.Tsrjoin q
       in
       (* set equality: a plan transferred from an equivalence-class
          sibling may enumerate the same matches in a different order *)
@@ -249,7 +249,7 @@ let test_invalidation_after_ingest () =
   List.iter
     (fun q ->
       ignore
-        (Workload.Engine.evaluate ~plan_cache:cache e Workload.Engine.Tsrjoin
+        (Test_util.run ~plan_cache:cache e Workload.Engine.Tsrjoin
            q))
     qs;
   Alcotest.(check int) "entries cached" 4 (Plan_cache.length cache);
@@ -263,9 +263,9 @@ let test_invalidation_after_ingest () =
   let before = (Plan_cache.counters cache).Plan_cache.misses in
   List.iter
     (fun q ->
-      let fresh = Workload.Engine.evaluate e' Workload.Engine.Tsrjoin q in
+      let fresh = Test_util.run e' Workload.Engine.Tsrjoin q in
       let cached =
-        Workload.Engine.evaluate ~plan_cache:cache e' Workload.Engine.Tsrjoin
+        Test_util.run ~plan_cache:cache e' Workload.Engine.Tsrjoin
           q
       in
       let sort = List.sort Match_result.compare in

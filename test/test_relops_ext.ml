@@ -42,7 +42,7 @@ let check_all_methods name g eq =
   let engine = Workload.Engine.prepare g in
   Array.iter
     (fun m ->
-      let actual = RS.of_list (Workload.Engine.evaluate_ext engine m eq) in
+      let actual = RS.of_list (Test_util.run_ext engine m eq) in
       match RS.diff_summary ~expected ~actual with
       | None -> ()
       | Some d ->
@@ -166,12 +166,6 @@ let sort_top_k ~k ms =
   in
   List.filteri (fun i _ -> i < k) (List.sort longer ms)
 
-let run_ext_list ?stats ~domains engine m eq =
-  let out = ref [] in
-  Workload.Engine.run_ext ?stats ~domains engine m eq ~emit:(fun x ->
-      out := x :: !out);
-  List.rev !out
-
 let test_aggregates () =
   let g = hand_graph () in
   let base = Naive.evaluate_ext g (eok g "MATCH (x)-[a]->(y) IN [0, 9]") in
@@ -188,14 +182,12 @@ let test_aggregates () =
         (fun m ->
           List.iter
             (fun domains ->
-              let n = List.length (run_ext_list ~domains engine m eq) in
+              let n = List.length (Test_util.run_ext ~domains engine m eq) in
               let what =
                 Printf.sprintf "%s %s domains %d"
                   (Workload.Engine.method_name m) name domains
               in
-              Alcotest.(check int) (what ^ " count") expected n;
-              Alcotest.(check int) (what ^ " = evaluate_ext") n
-                (List.length (Workload.Engine.evaluate_ext ~domains engine m eq)))
+              Alcotest.(check int) (what ^ " count") expected n)
             [ 1; 3 ])
         Workload.Engine.all_methods)
     [
@@ -217,7 +209,7 @@ let test_aggregates () =
       check_rs
         (Workload.Engine.method_name m ^ " TOP 1")
         expected
-        (Workload.Engine.evaluate_ext engine m tq))
+        (Test_util.run_ext engine m tq))
     Workload.Engine.all_methods;
   (* a run cut short by its budget emits none of the TOP k selection *)
   Array.iter
@@ -354,7 +346,7 @@ let prop_differential =
       let engine = Workload.Engine.prepare g in
       Array.for_all
         (fun m ->
-          let actual = RS.of_list (Workload.Engine.evaluate_ext engine m eq) in
+          let actual = RS.of_list (Test_util.run_ext engine m eq) in
           match RS.diff_summary ~expected ~actual with
           | None -> true
           | Some d ->
@@ -387,7 +379,7 @@ let prop_streamed_top_k =
               List.for_all
                 (fun domains ->
                   List.equal Match_result.equal expected
-                    (run_ext_list ~domains engine m eq)
+                    (Test_util.run_ext ~domains engine m eq)
                   || QCheck.Test.fail_reportf "%s %s core, domains %d: TOP %d \
                                                differs from sort-and-take"
                        (Workload.Engine.method_name m) shape domains k)

@@ -642,7 +642,7 @@ let test_match_limit () =
             | Error msg -> Alcotest.failf "compile: %s" msg
           in
           let total =
-            List.length (Workload.Engine.evaluate engine Workload.Engine.Tsrjoin q)
+            List.length (Test_util.run engine Workload.Engine.Tsrjoin q)
           in
           Alcotest.(check bool) "graph busy enough" true (total > 3);
           let r = ok_query ~limit:3 client text in

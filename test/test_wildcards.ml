@@ -41,7 +41,7 @@ let test_all_engines () =
       Array.iter
         (fun m ->
           let actual =
-            Match_result.Result_set.of_list (Workload.Engine.evaluate engine m q)
+            Match_result.Result_set.of_list (Test_util.run engine m q)
           in
           match Match_result.Result_set.diff_summary ~expected ~actual with
           | None -> ()
@@ -85,7 +85,7 @@ let test_wildcard_durable () =
         (Workload.Engine.method_name m)
         true
         (Match_result.Result_set.equal expected
-           (Match_result.Result_set.of_list (Workload.Engine.evaluate engine m q))))
+           (Match_result.Result_set.of_list (Test_util.run engine m q))))
     Workload.Engine.all_methods
 
 let test_wildcard_parallel_and_topk () =
@@ -96,7 +96,8 @@ let test_wildcard_parallel_and_topk () =
   in
   let sequential = Tsrjoin.evaluate tai q in
   Test_util.check_same_results ~msg:"parallel wildcard" sequential
-    (Exec.Parallel.evaluate ~domains:3 tai q);
+    (Match_result.collect (fun emit ->
+         Exec.Parallel.run ~domains:3 tai q ~emit));
   (* the selection fed from the parallel driver's serialized emit *)
   let top = Match_result.Top_k.create 5 in
   Exec.Parallel.run ~domains:3 tai q ~emit:(Match_result.Top_k.offer top);
@@ -133,7 +134,7 @@ let prop_wildcard_engines_agree =
             (fun m ->
               Match_result.Result_set.equal expected
                 (Match_result.Result_set.of_list
-                   (Workload.Engine.evaluate engine m q)))
+                   (Test_util.run engine m q)))
             Workload.Engine.all_methods)
         (wildcard_queries (window 4 18)))
 
