@@ -453,15 +453,9 @@ let handle_ingest t send (ir : Protocol.ingest_request) =
   let invalid =
     List.find_map
       (fun (e : Protocol.ingest_edge) ->
-        if e.Protocol.src < 0 || e.Protocol.dst < 0 then
-          Some
-            (Printf.sprintf "negative vertex id on edge %d->%d" e.Protocol.src
-               e.Protocol.dst)
-        else if e.Protocol.te < e.Protocol.ts then
-          Some
-            (Printf.sprintf "te < ts on edge %d->%d" e.Protocol.src
-               e.Protocol.dst)
-        else None)
+        Result.fold ~ok:(fun () -> None) ~error:Option.some
+          (Tgraph.Edge.check ~src:e.Protocol.src ~dst:e.Protocol.dst
+             ~ts:e.Protocol.ts ~te:e.Protocol.te))
       ir.Protocol.edges
   in
   match invalid with

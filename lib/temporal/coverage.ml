@@ -33,7 +33,8 @@ let of_run n ~ts ~te =
         out.(!n_out) <- { cs; ce; ec };
         incr n_out
       end;
-      time := ce + 1
+      (* nothing comes after [max_int]: the last tuple is out *)
+      if ce = max_int then first := n else time := ce + 1
     end
   done;
   if !n_out = 0 then empty else { tuples = Array.sub out 0 !n_out }

@@ -129,10 +129,9 @@ module Builder = struct
     { labels; acc = Temporal.Vec.create (); max_vertex = -1 }
 
   let add_edge b ~src ~dst ~lbl ~ts ~te =
-    if src < 0 || dst < 0 then
-      invalid_arg
-        (Printf.sprintf "Graph.Builder.add_edge: negative vertex (%d, %d)" src
-           dst);
+    Result.iter_error
+      (fun msg -> invalid_arg ("Graph.Builder.add_edge: " ^ msg))
+      (Edge.check ~src ~dst ~ts ~te);
     if lbl < 0 || lbl >= Label.count b.labels then
       invalid_arg (Printf.sprintf "Graph.Builder.add_edge: unknown label %d" lbl);
     let ivl = Temporal.Interval.make ts te in
@@ -231,8 +230,9 @@ let append g l =
   let extra =
     List.mapi
       (fun i (src, dst, lbl, ts, te) ->
-        if src < 0 || dst < 0 then
-          invalid_arg "Graph.append: negative vertex";
+        Result.iter_error
+          (fun msg -> invalid_arg ("Graph.append: " ^ msg))
+          (Edge.check ~src ~dst ~ts ~te);
         if lbl < 0 || lbl >= Label.count g.labels then
           invalid_arg (Printf.sprintf "Graph.append: unknown label %d" lbl);
         Edge.make ~id:(n + i) ~src ~dst ~lbl (Temporal.Interval.make ts te))

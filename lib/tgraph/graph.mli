@@ -15,8 +15,8 @@ module Builder : sig
 
   val add_edge : t -> src:int -> dst:int -> lbl:int -> ts:int -> te:int -> int
   (** Adds an edge and returns its id (dense, insertion-ordered).
-      @raise Invalid_argument on negative vertices, an unknown label id,
-      or [te < ts]. *)
+      @raise Invalid_argument on an edge {!Edge.check} refuses or an
+      unknown label id. *)
 
   val add_edge_named :
     t -> src:int -> dst:int -> lbl:string -> ts:int -> te:int -> int
@@ -91,6 +91,7 @@ val append : t -> (int * int * int * int * int) list -> t
 (** [append g [(src, dst, lbl, ts, te); ...]] is [g] plus the given
     edges, whose ids continue [g]'s; the label table is shared (labels
     must already be interned).
-    @raise Invalid_argument on invalid vertices, labels or intervals. *)
+    @raise Invalid_argument on an edge {!Edge.check} refuses or an
+    unknown label. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -371,6 +371,63 @@ let test_decorated_full_refresh () =
   | ds -> Alcotest.failf "expected one delta, got %d" (List.length ds));
   check_acc ~msg:"after the antijoin edge" acc (Naive.evaluate_ext gb eq)
 
+(* TOP k is not monotone either: a longer match arriving evicts the k-th
+   one. A standing selection must equal the re-queried one at every
+   batch, in a fixed and a sliding window alike. *)
+let test_standing_top_k () =
+  let g =
+    Test_util.random_graph ~seed:11 ~n_vertices:5 ~n_edges:30 ~n_labels:3
+      ~domain:30 ~max_len:8 ()
+  in
+  List.iter
+    (fun (k, window_width) ->
+      let inc = Tcsq_core.Incremental.of_tai g (Tcsq_core.Tai.build g) in
+      let subs = Subscription.create () in
+      let eq =
+        match
+          Qlang.parse_and_compile_ext g
+            (Printf.sprintf "MATCH (x)-[l0]->(y)-[l1]->(z) IN [0, 29] TOP %d" k)
+        with
+        | Ok eq -> eq
+        | Error msg -> Alcotest.fail msg
+      in
+      let acc, _, push = recorder () in
+      let _, w, initial =
+        Subscription.subscribe subs
+          ~engine:(Workload.Engine.prepare_with_tai g (Tcsq_core.Tai.build g))
+          ?window_width ~push eq
+      in
+      acc := MS.of_list initial;
+      let name = Printf.sprintf "TOP %d, %s" k
+          (match window_width with None -> "fixed" | Some _ -> "sliding") in
+      check_acc ~msg:(name ^ ", snapshot") acc
+        (Naive.evaluate_ext g (Equery.with_window eq w));
+      let rng = Random.State.make [| k |] in
+      for batch = 1 to 5 do
+        List.iter
+          (fun (src, dst, lbl, ts, te) ->
+            ignore (Tcsq_core.Incremental.add_edge inc ~src ~dst ~lbl ~ts ~te))
+          (random_extra rng 4 ~n_vertices:5 ~n_labels:3
+             ~domain:(30 + (5 * batch)));
+        let gb = Tcsq_core.Incremental.graph inc in
+        Subscription.on_ingest subs
+          ~engine:
+            (Workload.Engine.prepare_with_tai gb (Tcsq_core.Incremental.tai inc))
+          ~generation:batch;
+        let w =
+          match window_width with
+          | None -> w
+          | Some width ->
+              let head = Temporal.Interval.te (Tgraph.Graph.time_domain gb) in
+              window (head - width + 1) head
+        in
+        check_acc
+          ~msg:(Printf.sprintf "%s, batch %d" name batch)
+          acc
+          (Naive.evaluate_ext gb (Equery.with_window eq w))
+      done)
+    [ (1, None); (3, None); (1, Some 10); (3, Some 10) ]
+
 (* ---- end-to-end over the wire ---- *)
 
 let fresh_socket_path =
@@ -537,6 +594,8 @@ let () =
           Alcotest.test_case "fan-out and unsubscribe" `Quick test_fanout;
           Alcotest.test_case "decorated queries refresh in full" `Quick
             test_decorated_full_refresh;
+          Alcotest.test_case "standing TOP k = re-query" `Quick
+            test_standing_top_k;
         ]
         (* Kept in this suite: a longer suite name widens Alcotest's name
            column and truncates the displayed name of the wire cases. *)
