@@ -41,16 +41,6 @@ val make :
   'a
 (** [make ~code ~severity ~location fmt ...] formats the message. *)
 
-val compare_severity : severity -> severity -> int
-val severity_name : severity -> string
-(** ["hint"], ["warning"], ["error"]. *)
-
-val location_string : location -> string
-(** e.g. ["edge 2"], ["step 1"], ["variable x3"], ["window"]. *)
-
-val max_severity : t list -> severity option
-(** [None] on a clean (empty) list. *)
-
 val has_errors : t list -> bool
 val proves_empty : t list -> bool
 (** Whether any diagnostic proves the query empty. *)

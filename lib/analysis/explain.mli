@@ -10,7 +10,7 @@
     the adaptive planner's plan, and optionally the literal plan induced
     by an explicit pivot order. A candidate is {e dominated} when its
     estimated intermediate-tuple total exceeds the best valid
-    candidate's by more than {!dominance_factor}; the report states the
+    candidate's by more than 4x; the report states the
     ranking rationale either way.
 
     With {!run_analyze} ([tcsq explain --analyze]) the chosen plan is
@@ -21,7 +21,7 @@
 
     Codes:
     - [P008] (Warning) dominated plan: estimated cost exceeds the best
-      candidate's by more than {!dominance_factor}
+      candidate's by more than 4x
     - [P009] (Warning) misestimated level: the cost model's per-level
       prediction is off by more than {!misestimation_threshold} in
       either direction
@@ -45,10 +45,6 @@ type t = {
   query_diags : Diagnostic.t list;  (** {!Query_check} + {!Bound} *)
   candidates : candidate list;
 }
-
-val dominance_factor : float
-(** 4.0: a plan estimated at over 4x the best candidate's intermediate
-    tuples is flagged [P008]. *)
 
 val analyze : ?pivot_order:int list -> Lint.target -> Semantics.Query.t -> t
 (** Estimates use {!Bound}'s effective window so the report reflects

@@ -43,14 +43,10 @@ val parse : string -> (t, string) result
 (** {2 Accessors} *)
 
 val member : string -> t -> t option
-val string_opt : t -> string option
-val bool_opt : t -> bool option
 
 val int_opt : t -> int option
 (** [Int], or an integral [Float] inside the int range. *)
 
-val float_opt : t -> float option
-val list_opt : t -> t list option
 val mem_string : string -> t -> string option
 val mem_int : string -> t -> int option
 val mem_float : string -> t -> float option

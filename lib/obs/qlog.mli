@@ -25,8 +25,6 @@ type outcome =
   | Overloaded
   | Internal_error
 
-val outcome_name : outcome -> string
-
 type level = { level : int; est : int; actual : int }
 (** One TSRJoin plan level: the analyzer's predicted intermediate
     cardinality next to the measured one. *)
@@ -52,10 +50,6 @@ type record = {
           string to keep lib/obs dependency-free); [None] for methods
           without a planner or requests that never executed *)
 }
-
-val to_json : slow:bool -> record -> string
-(** One line of [tcsq-qlog/v1] (no trailing newline). Exposed for
-    tests; {!log} renders internally. *)
 
 type t
 (** A JSONL appender. *)

@@ -28,7 +28,6 @@ let build_time graph =
   let idx = build graph in
   (idx, Unix.gettimeofday () -. t0)
 
-let graph t = t.graph
 
 let sti t ~lbl =
   if lbl = Semantics.Query.any_label then t.all

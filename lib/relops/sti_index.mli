@@ -5,7 +5,6 @@ type t
 
 val build : Tgraph.Graph.t -> t
 val build_time : Tgraph.Graph.t -> t * float
-val graph : t -> Tgraph.Graph.t
 
 val sti : t -> lbl:int -> Temporal.Sti.t
 (** The start-time index of one label's edge relation (empty for an

@@ -14,9 +14,6 @@ val next : t -> Tuple.t array option
 (** The next batch ([Some [||]] never escapes: empty pulls are retried
     internally); [None] at end of stream. *)
 
-val of_producer : (unit -> Tuple.t array option) -> t
-(** Wraps a raw batch producer (already batch-bounded). *)
-
 val source : Tuple.t Seq.t -> t
 (** Batches an arbitrary tuple sequence. *)
 

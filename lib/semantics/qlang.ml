@@ -132,7 +132,6 @@ let n_edges ast = List.length ast.edges
 let n_vars ast = Array.length ast.vars
 let var_names ast = Array.copy ast.vars
 let window ast = ast.win
-let lasting ast = ast.lasting
 
 let is_extended ast =
   ast.clauses <> [] || ast.wheres <> [] || ast.agg <> None

@@ -36,9 +36,9 @@
     v}
 
     Without an [IN] clause the query window must be supplied at
-    {!compile} time (e.g. the graph's whole time domain).
+    {!compile_ext} time (e.g. the graph's whole time domain).
 
-    Parsing is independent of any graph; {!compile} resolves label names
+    Parsing is independent of any graph; {!compile_ext} resolves label names
     against a graph's label table. *)
 
 type ast
@@ -57,37 +57,25 @@ val var_names : ast -> string array
 
 val window : ast -> (int * int) option
 
-val lasting : ast -> int option
-(** The LASTING duration floor, when given. *)
-
-val is_extended : ast -> bool
-(** Whether the query uses any extended operator (NOT/EXISTS clauses,
-    WHERE constraints, or an aggregate). *)
-
-val compile :
-  ?default_window:Temporal.Interval.t ->
-  Tgraph.Graph.t ->
-  ast ->
-  (Query.t, string) result
-(** Resolves labels and materializes the {!Query.t}. Fails on unknown
-    labels, when no window is available from either the [IN] clause or
-    [default_window], or when the query {!is_extended} (use
-    {!compile_ext}). *)
-
 val compile_ext :
   ?default_window:Temporal.Interval.t ->
   Tgraph.Graph.t ->
   ast ->
   (Equery.t, string) result
-(** Like {!compile} but accepting the full extended surface; a query
-    without extended operators compiles to a {!Equery.plain} value. *)
+(** Resolves labels and materializes the {!Equery.t}; a query without
+    extended operators compiles to a {!Equery.plain} value. Fails on
+    unknown labels, or when no window is available from either the
+    [IN] clause or [default_window]. *)
 
 val parse_and_compile :
   ?default_window:Temporal.Interval.t ->
   Tgraph.Graph.t ->
   string ->
   (Query.t, string) result
-(** Convenience composition with positions rendered into the message. *)
+(** {!parse} then compile to a core {!Query.t}, with positions rendered
+    into the message. A query that uses extended operators
+    (NOT/EXISTS/WHERE/COUNT/TOP) is an error: use
+    {!parse_and_compile_ext}. *)
 
 val parse_and_compile_ext :
   ?default_window:Temporal.Interval.t ->

@@ -30,9 +30,6 @@ val of_run : int -> ts:(int -> int) -> te:(int -> int) -> t
     tuples as {!build} on them, without materializing span items.
     @raise Invalid_argument if [ts] decreases. *)
 
-val empty : t
-(** Coverage of the empty relation. *)
-
 val tuples : t -> tuple array
 (** The underlying tuples, sorted by [cs]. *)
 

@@ -13,10 +13,8 @@ let of_sorted a =
 let of_list l = of_items (Array.of_list l)
 let empty = { items = [||] }
 let length r = Array.length r.items
-let is_empty r = Array.length r.items = 0
 let get r i = r.items.(i)
 let items r = r.items
-let iter f r = Array.iter f r.items
 
 let lower_bound_start r t =
   let items = r.items in

@@ -15,10 +15,8 @@ val of_sorted : Span_item.t array -> t
 val of_list : Span_item.t list -> t
 val empty : t
 val length : t -> int
-val is_empty : t -> bool
 val get : t -> int -> Span_item.t
 val items : t -> Span_item.t array
-val iter : (Span_item.t -> unit) -> t -> unit
 
 val lower_bound_start : t -> int -> int
 (** [lower_bound_start r t] is the first index whose item starts at or

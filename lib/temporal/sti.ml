@@ -4,7 +4,6 @@ let build relation =
   { relation; coverage = Coverage.build (Relation.items relation) }
 
 let relation sti = sti.relation
-let coverage sti = sti.coverage
 let length sti = Relation.length sti.relation
 
 let scan_range sti ~ws ~we =

@@ -11,7 +11,6 @@ type t
 
 val build : Relation.t -> t
 val relation : t -> Relation.t
-val coverage : t -> Coverage.t
 val length : t -> int
 
 val scan_range : t -> ws:int -> we:int -> int * int

@@ -39,15 +39,6 @@ val random_query :
     their meaning) and the insertion order of surviving edges, so edge
     ids in the result are dense and order-compatible with the input. *)
 
-val filter_map_edges :
-  Tgraph.Graph.t ->
-  f:(Tgraph.Edge.t -> (int * int * int * int * int) option) ->
-  Tgraph.Graph.t * int array
-(** [filter_map_edges g ~f] rebuilds [g] in edge-id order: [f e] returns
-    [None] to drop edge [e], or [Some (src, dst, lbl, ts, te)] to keep a
-    (possibly rewritten) copy. The second component maps each new edge
-    id to the old id it came from. The label table is shared with [g]. *)
-
 val drop_edges :
   Tgraph.Graph.t -> keep:(int -> bool) -> Tgraph.Graph.t * int array
 (** Keeps exactly the edges whose old id satisfies [keep]; returns the

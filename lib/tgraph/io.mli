@@ -23,9 +23,6 @@ val load : string -> Graph.t
 (** [load path] reads a graph.
     @raise Malformed with a line-numbered message on malformed input. *)
 
-val to_channel : Graph.t -> out_channel -> unit
-val of_channel : ?source:string -> in_channel -> Graph.t
-
 val load_contacts : ?label:string -> duration:int -> string -> Graph.t
 (** Imports a SNAP-style contact sequence: whitespace-separated
     [src dst timestamp] lines ('#' comments ignored), turning each

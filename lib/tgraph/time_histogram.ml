@@ -48,9 +48,6 @@ let build ?(n_buckets = 64) g =
     { domain_start; bucket_width; counts; totals }
   end
 
-let n_buckets t =
-  if Array.length t.counts = 0 then 0 else Array.length t.counts.(0)
-
 let active_in_window t ~lbl ~ws ~we =
   if lbl < 0 || lbl >= Array.length t.counts || we < ws then 0.0
   else begin

@@ -13,8 +13,6 @@ val build : ?n_buckets:int -> Graph.t -> t
 (** Default 64 buckets. An empty graph yields a histogram whose
     estimates are all zero. *)
 
-val n_buckets : t -> int
-
 val active_in_window : t -> lbl:int -> ws:int -> we:int -> float
 (** Estimated number of label-[lbl] edges alive somewhere in the window
     (sum of intersected buckets, each scaled by the window's coverage of

@@ -8,7 +8,6 @@ type trie = {
 }
 
 type t = {
-  graph : Graph.t;
   lsd : trie; (* second key = source, third = destination *)
   lds : trie; (* second key = destination, third = source *)
 }
@@ -35,7 +34,6 @@ let build_trie graph ~cmp ~key2 ~key3 =
 
 let build graph =
   {
-    graph;
     lsd = build_trie graph ~cmp:Edge.compare_lsd ~key2:Edge.src ~key3:Edge.dst;
     lds = build_trie graph ~cmp:Edge.compare_lds ~key2:Edge.dst ~key3:Edge.src;
   }
@@ -45,7 +43,6 @@ let build_time graph =
   let idx = build graph in
   (idx, Unix.gettimeofday () -. t0)
 
-let graph t = t.graph
 let any_label = -1
 
 let merge_key_arrays arrays =

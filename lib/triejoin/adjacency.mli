@@ -5,19 +5,16 @@
     edges) and LDS (label → destination → source → edges). Leaf edge
     groups are sorted by start time so temporal selections can stop
     early, but no temporal structure beyond that is maintained — that is
-    the TAI's job (lib/core). *)
+    the TAI's job (lib/core).
+
+    Every lookup accepts the wildcard label [-1]
+    ({!Semantics.Query.any_label}) and unions across labels (freshly
+    allocated results). *)
 
 type t
 
 val build : Tgraph.Graph.t -> t
 val build_time : Tgraph.Graph.t -> t * float
-
-val graph : t -> Tgraph.Graph.t
-
-val any_label : int
-(** [-1]: every lookup below accepts it and unions across labels
-    (freshly allocated results). Matches
-    {!Semantics.Query.any_label}. *)
 
 val sources : t -> lbl:int -> int array
 (** Distinct sources of label [lbl], ascending ([||] for an absent

@@ -26,4 +26,3 @@ let seek it target =
   done;
   it.pos <- !lo
 
-let length it = Array.length it.keys

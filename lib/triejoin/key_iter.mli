@@ -21,5 +21,3 @@ val next : t -> unit
 val seek : t -> int -> unit
 (** [seek it target] positions at the first key [>= target] (possibly
     the current one), by binary search over the remaining suffix. *)
-
-val length : t -> int

@@ -16,9 +16,6 @@ val create :
     without this library depending on their stats types.
     @raise Invalid_argument on an empty array. *)
 
-val next : t -> unit
-(** Advance past the current binding. *)
-
 val iter : (int -> unit) -> t -> unit
 (** Iterate over all remaining bindings. *)
 
