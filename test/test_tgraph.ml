@@ -52,7 +52,15 @@ let test_builder_validation () =
   check_invalid "bad interval" (fun () ->
       ignore (Graph.Builder.add_edge_named b ~src:0 ~dst:1 ~lbl:"a" ~ts:5 ~te:4));
   check_invalid "unknown label id" (fun () ->
-      ignore (Graph.Builder.add_edge b ~src:0 ~dst:1 ~lbl:7 ~ts:0 ~te:1))
+      ignore (Graph.Builder.add_edge b ~src:0 ~dst:1 ~lbl:7 ~ts:0 ~te:1));
+  (* an interval whose length does not fit in an int *)
+  check_invalid "length past max_int" (fun () ->
+      ignore (Graph.Builder.add_edge b ~src:0 ~dst:1 ~lbl:0 ~ts:0 ~te:max_int));
+  check_invalid "appended length past max_int" (fun () ->
+      ignore (Graph.append (Graph.Builder.finish b) [ (0, 1, 0, min_int, max_int) ]));
+  let g = Graph.of_edge_list [ (0, 1, 0, 1, max_int) ] in
+  Alcotest.(check int) "[1, max_int] survives a binary round trip" max_int
+    (Edge.te (Graph.edge (Binary_io.of_bytes (Binary_io.to_bytes g)) 0))
 
 let test_time_domain () =
   let g = small_graph () in
