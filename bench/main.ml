@@ -469,7 +469,6 @@ let run_ablation_plan () =
     (fun ds ->
       let engine = engine_of ds in
       let tai = Engine.tai engine in
-      let cost = Tcsq_core.Plan.cost_model tai in
       Format.fprintf fmt "@.[%s]@." (Tgraph.Dataset.to_string ds);
       Format.fprintf fmt "%-10s %14s %14s@." "pattern" "greedy-ms" "adaptive-ms";
       List.iter
@@ -492,9 +491,9 @@ let run_ablation_plan () =
             /. float_of_int (max 1 (List.length queries))
             *. 1000.0
           in
-          let greedy = time_with (fun q -> Tcsq_core.Plan.build ~cost tai q) in
+          let greedy = time_with (fun q -> Tcsq_core.Plan.build tai q) in
           let adaptive =
-            time_with (fun q -> Tcsq_core.Plan.build_adaptive ~cost tai q)
+            time_with (fun q -> Tcsq_core.Plan.build_adaptive tai q)
           in
           Format.fprintf fmt "%-10s %14.2f %14.2f@." (Pattern.to_string shape)
             greedy adaptive)
@@ -638,7 +637,6 @@ let run_multiwindow () =
     "Multi-window evaluation: shared hull pass vs independent queries (Bike)";
   let engine = engine_of Tgraph.Dataset.Bike in
   let tai = Engine.tai engine in
-  let cost = Tcsq_core.Plan.cost_model tai in
   let g = Engine.graph engine in
   let domain = Tgraph.Graph.time_domain g in
   let q_base =
@@ -665,13 +663,13 @@ let run_multiwindow () =
               (start + (i * stride) + width - 1))
       in
       let t0 = Unix.gettimeofday () in
-      let shared = Tcsq_core.Multi_window.evaluate ~cost tai q_base ~windows in
+      let shared = Tcsq_core.Multi_window.evaluate tai q_base ~windows in
       let shared_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
       let t0 = Unix.gettimeofday () in
       let separate =
         List.map
           (fun w ->
-            Tcsq_core.Tsrjoin.evaluate ~cost tai (Query.with_window q_base w))
+            Tcsq_core.Tsrjoin.evaluate tai (Query.with_window q_base w))
           windows
       in
       let separate_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
@@ -751,7 +749,6 @@ let run_durable () =
   section "Durable queries: duration-floor push-down vs post-filter (Caida)";
   let engine = engine_of Tgraph.Dataset.Caida in
   let tai = Engine.tai engine in
-  let cost = Tcsq_core.Plan.cost_model tai in
   let queries =
     workload_for engine ~shape:(Pattern.Star 3) ~window_frac:0.2
       ~max_results:100_000 ~seed:211
@@ -767,7 +764,7 @@ let run_durable () =
         List.fold_left
           (fun acc q ->
             acc
-            + Tcsq_core.Tsrjoin.count ~stats ~cost tai
+            + Tcsq_core.Tsrjoin.count ~stats tai
                 (Query.with_min_duration q floor))
           0 queries
       in
@@ -777,7 +774,7 @@ let run_durable () =
       let filtered =
         List.fold_left
           (fun acc q ->
-            let all = Tcsq_core.Tsrjoin.evaluate ~cost tai q in
+            let all = Tcsq_core.Tsrjoin.evaluate tai q in
             acc
             + List.length
                 (List.filter

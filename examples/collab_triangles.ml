@@ -24,7 +24,6 @@ let () =
   let labels = Tgraph.Graph.labels g in
   let coauthor = Option.get (Tgraph.Label.find labels "a") in
   let tai = Tcsq_core.Tai.build g in
-  let cost = Tcsq_core.Plan.cost_model tai in
 
   let triangle window =
     Semantics.Query.make ~n_vars:3
@@ -35,13 +34,13 @@ let () =
   let nineties = triangle (Temporal.Interval.make 240 359) in
   let y1995 = triangle (Temporal.Interval.make 300 311) in
 
-  let plan = Tcsq_core.Plan.build ~cost tai nineties in
+  let plan = Tcsq_core.Plan.build tai nineties in
   Format.printf "%a@." Tcsq_core.Plan.pp plan;
 
   let run name q config =
     let stats = Semantics.Run_stats.create () in
     let t0 = Unix.gettimeofday () in
-    let n = Tcsq_core.Tsrjoin.count ~stats ~config ~cost tai q in
+    let n = Tcsq_core.Tsrjoin.count ~stats ~config tai q in
     Format.printf
       "  %-28s %5d triangles  %6.2f ms  scanned %6d  enum steps %7d@." name n
       ((Unix.gettimeofday () -. t0) *. 1000.0)
@@ -58,7 +57,7 @@ let () =
      bounded heap; memory stays O(k)). *)
   Format.printf "most durable collaborations:@.";
   let top = Semantics.Match_result.Top_k.create 5 in
-  Tcsq_core.Tsrjoin.run ~cost tai nineties
+  Tcsq_core.Tsrjoin.run tai nineties
     ~emit:(Semantics.Match_result.Top_k.offer top);
   List.iter
     (fun m ->
@@ -78,5 +77,5 @@ let () =
 
   (* the durable-query variant: triangles lasting at least 2 years *)
   Format.printf "triangles lasting >= 24 months in the decade: %d@."
-    (Tcsq_core.Tsrjoin.count ~cost tai
+    (Tcsq_core.Tsrjoin.count tai
        (Semantics.Query.with_min_duration nineties 24))

@@ -20,7 +20,7 @@ let dominance_factor = 4.0
 
 let analyze ?pivot_order target q =
   let env = Lint.env target in
-  let tai = Lint.tai target and cost = Lint.cost target in
+  let tai = Lint.tai target in
   let bound = Bound.analyze ~env q in
   let query_diags = Query_check.check ~env q @ bound.Bound.diagnostics in
   let window =
@@ -30,8 +30,8 @@ let analyze ?pivot_order target q =
   in
   let raw =
     [
-      ("cost-model", Plan.build ~cost tai q);
-      ("adaptive", Plan.build_adaptive ~cost tai q);
+      ("cost-model", Plan.build tai q);
+      ("adaptive", Plan.build_adaptive tai q);
     ]
     @
     match pivot_order with
@@ -41,7 +41,7 @@ let analyze ?pivot_order target q =
   let scored =
     List.map
       (fun (name, plan) ->
-        (name, plan, Selectivity.estimate ~window ~cost tai plan,
+        (name, plan, Selectivity.estimate ~window tai plan,
          Plan_check.check plan))
       raw
   in
@@ -277,8 +277,7 @@ let run_analyze target t =
                 Plan.calibration chosen.plan ~est_levels ~levels:actuals
               in
               let plan' =
-                Plan.build ~cost:(Lint.cost target) ~edge_scale
-                  (Lint.tai target) q
+                Plan.build ~edge_scale (Lint.tai target) q
               in
               let pivots p =
                 Array.to_list

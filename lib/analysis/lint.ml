@@ -1,19 +1,13 @@
 open Tcsq_core
 
-type target = {
-  tai : Tai.t;
-  cost : Plan.cost_model;
-  env : Query_check.env;
-}
+type target = { tai : Tai.t; env : Query_check.env }
 
-let target_of_tai tai =
-  { tai; cost = Plan.cost_model tai; env = Query_check.env_of_graph (Tai.graph tai) }
+let target_of_tai tai = { tai; env = Query_check.env_of_graph (Tai.graph tai) }
 
 let target_of_graph g = target_of_tai (Tai.build g)
 
 let env t = t.env
 let tai t = t.tai
-let cost t = t.cost
 
 let check_equery t eq =
   let q = Semantics.Equery.core eq in

@@ -6,7 +6,7 @@
     only an explicit pivot order's literal plan is. *)
 
 type target
-(** A graph prepared for linting: TAI, cost model and query-check env. *)
+(** A graph prepared for linting: TAI and query-check env. *)
 
 val target_of_graph : Tgraph.Graph.t -> target
 val target_of_tai : Tcsq_core.Tai.t -> target
@@ -14,7 +14,6 @@ val target_of_tai : Tcsq_core.Tai.t -> target
 
 val env : target -> Query_check.env
 val tai : target -> Tcsq_core.Tai.t
-val cost : target -> Tcsq_core.Plan.cost_model
 
 val check_query : target -> Semantics.Query.t -> Diagnostic.t list
 (** {!Query_check.check} plus, when it reports no [Error],

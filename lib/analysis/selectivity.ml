@@ -27,15 +27,15 @@ type t = {
   estimated_intermediate : float;
 }
 
-let estimate ?window ~cost tai plan =
+let estimate ?window tai plan =
   let q = Plan.query plan in
   let w = match window with Some w -> w | None -> Query.window q in
   let ws = Temporal.Interval.ts w and we = Temporal.Interval.te w in
   let edges =
     Array.map
       (fun (e : Query.edge) ->
-        let s = Plan.label_summary cost e.Query.lbl in
-        let frac = Plan.window_selectivity cost e.Query.lbl ~ws ~we in
+        let s = Plan.label_summary tai e.Query.lbl in
+        let frac = Plan.window_selectivity tai e.Query.lbl ~ws ~we in
         {
           edge = e;
           count = s.Plan.count;
@@ -59,15 +59,15 @@ let estimate ?window ~cost tai plan =
             let per_candidate = ref 1.0 in
             Array.iteri
               (fun k (e : Query.edge) ->
-                let s = Plan.label_summary cost e.Query.lbl in
+                let s = Plan.label_summary tai e.Query.lbl in
                 let size =
                   if e.Query.src_var = v then s.Plan.avg_out else s.Plan.avg_in
                 in
-                let sel = Plan.window_selectivity cost e.Query.lbl ~ws ~we in
+                let sel = Plan.window_selectivity tai e.Query.lbl ~ws ~we in
                 (* the first edge needs no overlap partner *)
                 let shrink =
                   if k = 0 then 1.0
-                  else Plan.window_shrink cost e.Query.lbl ~ws ~we
+                  else Plan.window_shrink tai e.Query.lbl ~ws ~we
                 in
                 per_candidate := !per_candidate *. size *. sel *. shrink)
               st.Plan.edges;
@@ -77,7 +77,7 @@ let estimate ?window ~cost tai plan =
             let f = ref 1.0 in
             Array.iter
               (fun (e : Query.edge) ->
-                let s = Plan.label_summary cost e.Query.lbl in
+                let s = Plan.label_summary tai e.Query.lbl in
                 let other = Query.other_endpoint e v in
                 let size =
                   if other <> v && bound.(other) then
@@ -90,8 +90,8 @@ let estimate ?window ~cost tai plan =
                 in
                 f :=
                   !f *. size
-                  *. Plan.window_selectivity cost e.Query.lbl ~ws ~we
-                  *. Plan.window_shrink cost e.Query.lbl ~ws ~we)
+                  *. Plan.window_selectivity tai e.Query.lbl ~ws ~we
+                  *. Plan.window_shrink tai e.Query.lbl ~ws ~we)
               st.Plan.edges;
             (!f, None)
           end

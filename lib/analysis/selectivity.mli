@@ -19,7 +19,7 @@
 type edge_estimate = {
   edge : Semantics.Query.edge;
   count : float;  (** graph edges carrying the label *)
-  window_fraction : float;  (** histogram share alive in the window *)
+  window_fraction : float;  (** exact share alive in the window *)
   expected_active : float;  (** [count *. window_fraction] *)
 }
 
@@ -44,7 +44,6 @@ type t = {
 
 val estimate :
   ?window:Temporal.Interval.t ->
-  cost:Tcsq_core.Plan.cost_model ->
   Tcsq_core.Tai.t ->
   Tcsq_core.Plan.t ->
   t

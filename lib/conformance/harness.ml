@@ -149,7 +149,7 @@ let check_analyzer cache (case : Case.t) ~naive_count =
   let c = ctx_for cache case.Case.graph in
   let eng = Runner.engine c in
   let target = Workload.Engine.target eng in
-  let tai = Analysis.Lint.tai target and cost = Analysis.Lint.cost target in
+  let tai = Analysis.Lint.tai target in
   let eq = case.Case.query in
   let q = Equery.core eq in
   let bound =
@@ -198,10 +198,10 @@ let check_analyzer cache (case : Case.t) ~naive_count =
           (Printf.sprintf "%s failed plan invariant analysis: %s" name
              (String.concat "; " (List.map Analysis.Diagnostic.to_string ds)))
   in
-  let* () = check_plan "Plan.build" (Tcsq_core.Plan.build ~cost tai q) in
+  let* () = check_plan "Plan.build" (Tcsq_core.Plan.build tai q) in
   let* () =
     check_plan "Plan.build_adaptive"
-      (Tcsq_core.Plan.build_adaptive ~cost ~defer_ratio:2.0 tai q)
+      (Tcsq_core.Plan.build_adaptive ~defer_ratio:2.0 tai q)
   in
   check_plan "Plan.of_pivot_order"
     (Tcsq_core.Plan.of_pivot_order q

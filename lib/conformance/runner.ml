@@ -96,7 +96,6 @@ let adaptive =
     eval =
       (fun c eq ->
         let tai = Workload.Engine.tai (engine c) in
-        let cost = Tcsq_core.Plan.cost_model tai in
         let config =
           {
             Tcsq_core.Tsrjoin.default_config with
@@ -107,7 +106,7 @@ let adaptive =
             Equery.run_with
               (fun q ~emit ->
                 let plan =
-                  Tcsq_core.Plan.build_adaptive ~cost ~defer_ratio:2.0 tai q
+                  Tcsq_core.Plan.build_adaptive ~defer_ratio:2.0 tai q
                 in
                 Tcsq_core.Tsrjoin.run ~config ~plan tai q ~emit)
               c.g eq ~emit));

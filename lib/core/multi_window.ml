@@ -1,6 +1,6 @@
 open Semantics
 
-let evaluate ?stats ?config ?cost tai q ~windows =
+let evaluate ?stats ?config tai q ~windows =
   if windows = [] then invalid_arg "Multi_window.evaluate: no windows";
   let hull =
     List.fold_left Temporal.Interval.span (List.hd windows) windows
@@ -8,7 +8,7 @@ let evaluate ?stats ?config ?cost tai q ~windows =
   let windows = Array.of_list windows in
   let out = Array.map (fun _ -> ref []) windows in
   let hull_query = Query.with_window q hull in
-  Tsrjoin.run ?stats ?config ?cost tai hull_query ~emit:(fun m ->
+  Tsrjoin.run ?stats ?config tai hull_query ~emit:(fun m ->
       Array.iteri
         (fun i w ->
           if Temporal.Interval.overlaps m.Match_result.life w then
@@ -16,7 +16,7 @@ let evaluate ?stats ?config ?cost tai q ~windows =
         windows);
   Array.map (fun cell -> List.rev !cell) out
 
-let sliding ?stats ?config ?cost tai q ~width ~stride ~over =
+let sliding ?stats ?config tai q ~width ~stride ~over =
   if width <= 0 || stride <= 0 then
     invalid_arg "Multi_window.sliding: width and stride must be positive";
   let ws0 = Temporal.Interval.ts over and we0 = Temporal.Interval.te over in
@@ -30,5 +30,5 @@ let sliding ?stats ?config ?cost tai q ~width ~stride ~over =
   match windows with
   | [] -> []
   | _ ->
-      let results = evaluate ?stats ?config ?cost tai q ~windows in
+      let results = evaluate ?stats ?config tai q ~windows in
       List.mapi (fun i w -> (w, results.(i))) windows

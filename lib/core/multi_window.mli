@@ -16,7 +16,6 @@
 val evaluate :
   ?stats:Semantics.Run_stats.t ->
   ?config:Tsrjoin.config ->
-  ?cost:Plan.cost_model ->
   Tai.t ->
   Semantics.Query.t ->
   windows:Temporal.Interval.t list ->
@@ -30,7 +29,6 @@ val evaluate :
 val sliding :
   ?stats:Semantics.Run_stats.t ->
   ?config:Tsrjoin.config ->
-  ?cost:Plan.cost_model ->
   Tai.t ->
   Semantics.Query.t ->
   width:int ->

@@ -62,91 +62,88 @@ let root_candidates sim =
 
 let finish sim = { query = sim.q; steps = Array.of_list (List.rev sim.acc) }
 
-(* ---- cost model ---- *)
+(* ---- cost model ----
 
-type label_stats = {
+   Every factor is read on demand from the graph's per-label statistics
+   and the TAI's key sets: O(1) or a binary search, never an edge scan,
+   so there is nothing to build or cache per graph. *)
+
+type label_summary = {
   count : float; (* edges with this label *)
   avg_out : float; (* per distinct source *)
   avg_in : float; (* per distinct destination *)
-  overlap_prob : float; (* mean interval length / time domain *)
   mean_len : float; (* mean interval length *)
 }
 
-let label_stats_of_tai tai =
+let no_label = { count = 1e-9; avg_out = 1e-9; avg_in = 1e-9; mean_len = 1.0 }
+
+let label_stats tai l =
   let g = Tai.graph tai in
-  let domain =
-    if Tgraph.Graph.n_edges g = 0 then 1.0
-    else float_of_int (Temporal.Interval.length (Tgraph.Graph.time_domain g))
-  in
-  Array.init (Tgraph.Graph.n_labels g) (fun l ->
-      let n = Tgraph.Graph.label_count g l in
-      (* the integer sum converts to the float a per-edge float sum
-         gives, as long as it stays below 2^53 *)
-      let len_sum = float_of_int (Tgraph.Graph.label_len_sum g l) in
-      let count = float_of_int n in
-      let n_src = float_of_int (max 1 (Array.length (Tai.sources tai ~lbl:l))) in
-      let n_dst =
-        float_of_int (max 1 (Array.length (Tai.destinations tai ~lbl:l)))
-      in
-      {
-        count = max count 1e-9;
-        avg_out = max (count /. n_src) 1e-9;
-        avg_in = max (count /. n_dst) 1e-9;
-        overlap_prob =
-          (if n = 0 then 1e-9
-           else min 1.0 (max 1e-9 (len_sum /. count /. domain)));
-        mean_len = (if n = 0 then 1.0 else max 1.0 (len_sum /. count));
-      })
+  let n = Tgraph.Graph.label_count g l in
+  if n = 0 then no_label
+  else begin
+    let count = float_of_int n in
+    let keys a = float_of_int (max 1 (Array.length a)) in
+    {
+      count;
+      avg_out = count /. keys (Tai.sources tai ~lbl:l);
+      avg_in = count /. keys (Tai.destinations tai ~lbl:l);
+      mean_len =
+        Float.max 1.0 (float_of_int (Tgraph.Graph.label_len_sum g l) /. count);
+    }
+  end
 
-let aggregate_stats stats =
-  (* the wildcard behaves like the sum of all labels *)
-  Array.fold_left
-    (fun acc s ->
-      {
-        count = acc.count +. s.count;
-        avg_out = acc.avg_out +. s.avg_out;
-        avg_in = acc.avg_in +. s.avg_in;
-        overlap_prob = max acc.overlap_prob s.overlap_prob;
-        mean_len = max acc.mean_len s.mean_len;
-      })
-    { count = 1e-9; avg_out = 1e-9; avg_in = 1e-9; overlap_prob = 1e-9;
-      mean_len = 1.0 }
-    stats
+(* the wildcard behaves like the sum of all labels *)
+let label_summary tai lbl =
+  if lbl <> Query.any_label then label_stats tai lbl
+  else begin
+    let acc = ref no_label in
+    for l = 0 to Tgraph.Graph.n_labels (Tai.graph tai) - 1 do
+      let s = label_stats tai l in
+      acc :=
+        {
+          count = !acc.count +. s.count;
+          avg_out = !acc.avg_out +. s.avg_out;
+          avg_in = !acc.avg_in +. s.avg_in;
+          mean_len = Float.max !acc.mean_len s.mean_len;
+        }
+    done;
+    !acc
+  end
 
-let stats_for stats lbl =
-  if lbl >= 0 && lbl < Array.length stats then stats.(lbl)
-  else if lbl = Query.any_label && Array.length stats > 0 then
-    aggregate_stats stats
-  else
-    { count = 1e-9; avg_out = 1e-9; avg_in = 1e-9; overlap_prob = 1e-9;
-      mean_len = 1.0 }
-
-(* The full cost model: global per-label statistics plus a temporal
-   histogram making the temporal factors sensitive to the query window.
-   For an edge joined onto an existing partial match, the chance of
+(* For an edge joined onto an existing partial match, the chance of
    joint overlap is approximated by mean_len relative to the window
    length (a short window forces near-certain joint overlap among
-   window-alive edges; a long one makes it rare); the number of
-   window-relevant edges is scaled by the histogram's selectivity. *)
-type cost_model_t = {
-  stats : label_stats array;
-  hist : Tgraph.Time_histogram.t;
-}
-
-let window_shrink cm lbl ~ws ~we =
-  let s = stats_for cm.stats lbl in
+   window-alive edges; a long one makes it rare). *)
+let window_shrink tai lbl ~ws ~we =
+  let s = label_summary tai lbl in
   min 1.0 (max 1e-9 (s.mean_len /. float_of_int (we - ws + 1)))
 
-let window_selectivity cm lbl ~ws ~we =
-  if lbl = Query.any_label then begin
+(* The share of label-[l] edges alive somewhere in [ws, we], exact: the
+   edges starting at or before [we] less those ending before [ws] (which
+   all start before [ws] too). *)
+let label_selectivity g l ~ws ~we =
+  let n = Tgraph.Graph.label_count g l in
+  if n = 0 || we < ws then 1e-9
+  else begin
+    let started =
+      if we = max_int then n
+      else Tgraph.Graph.count_starting_before g ~lbl:l (we + 1)
+    in
+    let alive = started - Tgraph.Graph.count_ending_before g ~lbl:l ws in
+    Float.min 1.0 (Float.max 1e-9 (float_of_int alive /. float_of_int n))
+  end
+
+let window_selectivity tai lbl ~ws ~we =
+  let g = Tai.graph tai in
+  if lbl <> Query.any_label then label_selectivity g lbl ~ws ~we
+  else begin
     let best = ref 1e-9 in
-    Array.iteri
-      (fun l _ ->
-        best := Float.max !best (Tgraph.Time_histogram.selectivity cm.hist ~lbl:l ~ws ~we))
-      cm.stats;
+    for l = 0 to Tgraph.Graph.n_labels g - 1 do
+      best := Float.max !best (label_selectivity g l ~ws ~we)
+    done;
     !best
   end
-  else Tgraph.Time_histogram.selectivity cm.hist ~lbl ~ws ~we
 
 (* Expected log-cardinality of the star produced by choosing [v] as a
    fresh (unbound) pivot. The candidate-binding count is computed exactly
@@ -189,7 +186,7 @@ let root_candidate_count tai sim v =
 let step_root_candidates tai step =
   leapfrog_count tai step.pivot (Array.to_list step.edges)
 
-let root_score tai sim cm es v =
+let root_score tai sim es v =
   let ws = Query.ws sim.q and we = Query.we sim.q in
   let edges = unmatched_adjacent sim v in
   let candidates = root_candidate_count tai sim v in
@@ -198,45 +195,45 @@ let root_score tai sim cm es v =
     let per_candidate =
       List.fold_left
         (fun acc e ->
-          let s = stats_for cm.stats e.Query.lbl in
+          let s = label_summary tai e.Query.lbl in
           let size = if e.Query.src_var = v then s.avg_out else s.avg_in in
           acc
-          +. log (size *. window_selectivity cm e.Query.lbl ~ws ~we)
-          +. log (window_shrink cm e.Query.lbl ~ws ~we)
+          +. log (size *. window_selectivity tai e.Query.lbl ~ws ~we)
+          +. log (window_shrink tai e.Query.lbl ~ws ~we)
           +. log (es e))
         0.0 edges
     in
     (* the first edge needs no overlap partner *)
     let first_shrink =
       match edges with
-      | e :: _ -> log (window_shrink cm e.Query.lbl ~ws ~we)
+      | e :: _ -> log (window_shrink tai e.Query.lbl ~ws ~we)
       | [] -> 0.0
     in
     log (float_of_int candidates) +. per_candidate -. first_shrink
   end
 
-(* Expected extension factor of a bound pivot: product over unmatched
-   adjacent edges of the expected TSR size under the current bindings,
-   shrunk by temporal overlap. *)
-let bound_score sim cm es v =
+(* Per-edge expected work at a bound pivot: log of the expected TSR size
+   under the current bindings, shrunk by temporal overlap. *)
+let edge_log_size sim tai v (e : Query.edge) =
   let ws = Query.ws sim.q and we = Query.we sim.q in
-  let edges = unmatched_adjacent sim v in
+  let s = label_summary tai e.Query.lbl in
+  let other = Query.other_endpoint e v in
+  let size =
+    if other <> v && sim.bound.(other) then
+      (* fully bound TSR: roughly avg multi-edge count *)
+      max (s.avg_out /. max (s.count /. s.avg_in) 1.0) 1e-3
+    else if e.Query.src_var = v then s.avg_out
+    else s.avg_in
+  in
+  log (size *. window_selectivity tai e.Query.lbl ~ws ~we)
+  +. log (window_shrink tai e.Query.lbl ~ws ~we)
+
+(* Expected extension factor of a bound pivot: the product of its
+   unmatched adjacent edges' expected work. *)
+let bound_score sim tai es v =
   List.fold_left
-    (fun acc e ->
-      let s = stats_for cm.stats e.Query.lbl in
-      let other = Query.other_endpoint e v in
-      let size =
-        if other <> v && sim.bound.(other) then
-          (* fully bound TSR: roughly avg multi-edge count *)
-          max (s.avg_out /. max (s.count /. s.avg_in) 1.0) 1e-3
-        else if e.Query.src_var = v then s.avg_out
-        else s.avg_in
-      in
-      acc
-      +. log (size *. window_selectivity cm e.Query.lbl ~ws ~we)
-      +. log (window_shrink cm e.Query.lbl ~ws ~we)
-      +. log (es e))
-    0.0 edges
+    (fun acc e -> acc +. edge_log_size sim tai v e +. log (es e))
+    0.0 (unmatched_adjacent sim v)
 
 let pick_min score = function
   | [] -> None
@@ -252,43 +249,6 @@ let pick_min score = function
         rest;
       Some !best
 
-type cost_model = cost_model_t
-
-type label_summary = label_stats = {
-  count : float;
-  avg_out : float;
-  avg_in : float;
-  overlap_prob : float;
-  mean_len : float;
-}
-
-let label_summary cm lbl = stats_for cm.stats lbl
-
-let cost_model tai =
-  {
-    stats = label_stats_of_tai tai;
-    hist = Tgraph.Time_histogram.build (Tai.graph tai);
-  }
-
-let make_cost tai = function
-  | Some c -> c
-  | None -> cost_model tai
-
-(* Per-edge expected work at a bound pivot: log of expected TSR size
-   times the temporal overlap probability. *)
-let edge_log_size sim cm v (e : Query.edge) =
-  let ws = Query.ws sim.q and we = Query.we sim.q in
-  let s = stats_for cm.stats e.Query.lbl in
-  let other = Query.other_endpoint e v in
-  let size =
-    if other <> v && sim.bound.(other) then
-      max (s.avg_out /. max (s.count /. s.avg_in) 1.0) 1e-3
-    else if e.Query.src_var = v then s.avg_out
-    else s.avg_in
-  in
-  log (size *. window_selectivity cm e.Query.lbl ~ws ~we)
-  +. log (window_shrink cm e.Query.lbl ~ws ~we)
-
 let apply_partial_step sim pivot ~keep =
   assert (keep <> []);
   let edges = Array.of_list keep in
@@ -303,25 +263,22 @@ let apply_partial_step sim pivot ~keep =
 
 let no_scale (_ : Query.edge) = 1.0
 
-let build_loop ?select_bound ?(edge_scale = no_scale) tai cm sim =
+let build_loop ?select_bound ?(edge_scale = no_scale) tai sim =
   while not (all_matched sim) do
-    match pick_min (bound_score sim cm edge_scale) (bound_pivot_candidates sim)
+    match pick_min (bound_score sim tai edge_scale) (bound_pivot_candidates sim)
     with
     | Some v -> (
         match select_bound with
         | None -> apply_step sim v ~produce_binding:false
         | Some select -> apply_partial_step sim v ~keep:(select sim v))
     | None -> (
-        match
-          pick_min (root_score tai sim cm edge_scale) (root_candidates sim)
-        with
+        match pick_min (root_score tai sim edge_scale) (root_candidates sim) with
         | Some v -> apply_step sim v ~produce_binding:true
         | None -> assert false (* unmatched edges always have candidates *))
   done;
   finish sim
 
-let build ?cost ?edge_scale tai q =
-  build_loop ?edge_scale tai (make_cost tai cost) (sim_create q)
+let build ?edge_scale tai q = build_loop ?edge_scale tai (sim_create q)
 
 (* Per-edge correction factors from one execution's per-level feedback:
    level [i]'s cumulative misestimation ratio r_i = actual_i / est_i is
@@ -353,14 +310,13 @@ let calibration p ~est_levels ~levels =
     if e.Query.idx >= 0 && e.Query.idx < n_edges then scale.(e.Query.idx)
     else 1.0
 
-let build_adaptive ?cost ?(defer_ratio = 8.0) tai q =
+let build_adaptive ?(defer_ratio = 8.0) tai q =
   if defer_ratio < 1.0 then
     invalid_arg "Plan.build_adaptive: defer_ratio must be >= 1";
-  let cm = make_cost tai cost in
   let threshold = log defer_ratio in
   let select sim v =
     let edges = unmatched_adjacent sim v in
-    let scored = List.map (fun e -> (edge_log_size sim cm v e, e)) edges in
+    let scored = List.map (fun e -> (edge_log_size sim tai v e, e)) edges in
     let best = List.fold_left (fun acc (s, _) -> min acc s) infinity scored in
     let keep =
       List.filter_map
@@ -370,7 +326,7 @@ let build_adaptive ?cost ?(defer_ratio = 8.0) tai q =
     (* at least the most selective edge always stays *)
     if keep = [] then [ snd (List.hd scored) ] else keep
   in
-  build_loop ~select_bound:select tai cm (sim_create q)
+  build_loop ~select_bound:select tai (sim_create q)
 
 let of_pivot_order q order =
   let sim = sim_create q in

@@ -9,8 +9,9 @@
 
     The default planner is the paper's cost-model sketch: the first
     pivot minimizes the expected cardinality of its adjacent-edge star
-    (label frequencies, vertex count, and a per-label temporal overlap
-    probability); subsequent pivots greedily minimize the expected
+    (the exact leapfrog candidate count, per-label fan-out, the share of
+    each label's edges alive in the query window, and a mean-length
+    overlap shrink); subsequent pivots greedily minimize the expected
     extension factor. *)
 
 type step = {
@@ -24,38 +25,33 @@ type t
 val steps : t -> step array
 val query : t -> Semantics.Query.t
 
-type cost_model
-(** Per-graph statistics backing the planner (label frequencies, key-set
-    cardinalities, temporal overlap probabilities). Build it once per
-    TAI and reuse across queries. Computing it reads the graph's
-    per-label statistics ({!Tgraph.Graph.label_count} and kin) and the
-    TAI's key sets; it scans no edges. *)
-
-val cost_model : Tai.t -> cost_model
-
 (** {2 Cost-model primitives}
 
     The raw factors the planner scores with, exposed so the static
     analyzer ([Analysis.Selectivity]) can replay the same model in
-    absolute-cardinality space and explain the ranking. *)
+    absolute-cardinality space and explain the ranking. Each reads the
+    graph's per-label statistics ({!Tgraph.Graph.label_count} and kin)
+    and the TAI's key sets on demand: O(1) or a binary search per label,
+    no edge scan. *)
 
 type label_summary = {
   count : float;  (** edges carrying the label *)
   avg_out : float;  (** mean out-edges per distinct source *)
   avg_in : float;  (** mean in-edges per distinct destination *)
-  overlap_prob : float;  (** mean interval length / time domain *)
   mean_len : float;  (** mean interval length, at least 1 *)
 }
 
-val label_summary : cost_model -> int -> label_summary
+val label_summary : Tai.t -> int -> label_summary
 (** Statistics for a label id; {!Semantics.Query.any_label} aggregates
     all labels, unknown ids return near-zero sentinels. *)
 
-val window_selectivity : cost_model -> int -> ws:int -> we:int -> float
-(** Histogram share of the label's edges alive in the window (wildcard:
-    the max over labels). *)
+val window_selectivity : Tai.t -> int -> ws:int -> we:int -> float
+(** The exact share of the label's edges alive somewhere in
+    [[ws, we]], clamped to [[1e-9, 1]] (wildcard: the max over labels).
+    An inverted window, an unknown label or one with no edges reads
+    [1e-9]. *)
 
-val window_shrink : cost_model -> int -> ws:int -> we:int -> float
+val window_shrink : Tai.t -> int -> ws:int -> we:int -> float
 (** The joint-overlap shrink factor an extra edge of this label costs a
     partial match: mean interval length over window length, capped to
     [(0, 1]]. *)
@@ -67,12 +63,8 @@ val step_root_candidates : Tai.t -> step -> int
     steps. *)
 
 val build :
-  ?cost:cost_model ->
-  ?edge_scale:(Semantics.Query.edge -> float) ->
-  Tai.t ->
-  Semantics.Query.t ->
-  t
-(** Cost-model planner; [cost] defaults to a freshly computed model.
+  ?edge_scale:(Semantics.Query.edge -> float) -> Tai.t -> Semantics.Query.t -> t
+(** Cost-model planner.
 
     [edge_scale] (default: constantly [1.0]) multiplies each edge's
     expected cardinality before scoring — the runtime-feedback hook: the
@@ -91,8 +83,7 @@ val calibration :
     over that step's edges, clamped to [[1/1024, 1024]]. Missing levels
     count as matching the estimate; edges outside [plan] score [1.0]. *)
 
-val build_adaptive :
-  ?cost:cost_model -> ?defer_ratio:float -> Tai.t -> Semantics.Query.t -> t
+val build_adaptive : ?defer_ratio:float -> Tai.t -> Semantics.Query.t -> t
 (** The paper's §VII future-work direction: a hybrid plan that may match
     only a {e subset} of a pivot's unmatched adjacent edges per step,
     deferring edges whose expected TSR size exceeds [defer_ratio]

@@ -43,7 +43,7 @@ let root_key_sets tai pivot (step_edges : Query.edge array) =
          as_src @ as_dst)
 
 let run ?stats ?(obs = Obs.Sink.null) ?(roots = All_roots)
-    ?(config = default_config) ?plan ?cost tai q ~emit =
+    ?(config = default_config) ?plan tai q ~emit =
   let min_duration = Query.min_duration q in
   let allen_cs = config.allen in
   List.iter
@@ -66,7 +66,7 @@ let run ?stats ?(obs = Obs.Sink.null) ?(roots = All_roots)
            = rel)
       allen_cs
   in
-  let plan = match plan with Some p -> p | None -> Plan.build ?cost tai q in
+  let plan = match plan with Some p -> p | None -> Plan.build tai q in
   (match Plan.validate plan with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Tsrjoin.run: invalid plan: " ^ msg));
@@ -239,17 +239,17 @@ let run ?stats ?(obs = Obs.Sink.null) ?(roots = All_roots)
   in
   exec 0 (Temporal.Interval.make min_int max_int) qw
 
-let evaluate ?stats ?obs ?config ?plan ?cost tai q =
+let evaluate ?stats ?obs ?config ?plan tai q =
   Match_result.collect (fun emit ->
-      run ?stats ?obs ?config ?plan ?cost tai q ~emit)
+      run ?stats ?obs ?config ?plan tai q ~emit)
 
-let count ?stats ?obs ?config ?plan ?cost tai q =
+let count ?stats ?obs ?config ?plan tai q =
   let n = ref 0 in
-  run ?stats ?obs ?config ?plan ?cost tai q ~emit:(fun _ -> incr n);
+  run ?stats ?obs ?config ?plan tai q ~emit:(fun _ -> incr n);
   !n
 
-let root_candidates ?stats ?(obs = Obs.Sink.null) ?plan ?cost tai q =
-  let plan = match plan with Some p -> p | None -> Plan.build ?cost tai q in
+let root_candidates ?stats ?(obs = Obs.Sink.null) ?plan tai q =
+  let plan = match plan with Some p -> p | None -> Plan.build tai q in
   (match Plan.validate plan with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Tsrjoin.root_candidates: invalid plan: " ^ msg));

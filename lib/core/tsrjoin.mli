@@ -49,7 +49,6 @@ val run :
   ?roots:roots ->
   ?config:config ->
   ?plan:Plan.t ->
-  ?cost:Plan.cost_model ->
   Tai.t ->
   Semantics.Query.t ->
   emit:(Semantics.Match_result.t -> unit) ->
@@ -67,7 +66,6 @@ val evaluate :
   ?obs:Obs.Sink.t ->
   ?config:config ->
   ?plan:Plan.t ->
-  ?cost:Plan.cost_model ->
   Tai.t ->
   Semantics.Query.t ->
   Semantics.Match_result.t list
@@ -77,7 +75,6 @@ val count :
   ?obs:Obs.Sink.t ->
   ?config:config ->
   ?plan:Plan.t ->
-  ?cost:Plan.cost_model ->
   Tai.t ->
   Semantics.Query.t ->
   int
@@ -86,7 +83,6 @@ val root_candidates :
   ?stats:Semantics.Run_stats.t ->
   ?obs:Obs.Sink.t ->
   ?plan:Plan.t ->
-  ?cost:Plan.cost_model ->
   Tai.t ->
   Semantics.Query.t ->
   int array

@@ -193,8 +193,8 @@ let exec_core ~pool ~domains ~chunk ~stats ~obs ~config ~plan tai q ~emit =
 (* A plan whose first step is not a leapfrog (or a single-domain call)
    runs sequentially on the caller; parallel machinery engages only
    when it can actually partition roots. *)
-let run ?pool ?domains ?chunk ?stats ?(obs = Obs.Sink.null) ?config ?plan ?cost
-    tai q ~emit =
+let run ?pool ?domains ?chunk ?stats ?(obs = Obs.Sink.null) ?config ?plan tai q
+    ~emit =
   let domains =
     match domains with
     | Some d ->
@@ -202,7 +202,7 @@ let run ?pool ?domains ?chunk ?stats ?(obs = Obs.Sink.null) ?config ?plan ?cost
         d
     | None -> Domain.recommended_domain_count ()
   in
-  let plan = match plan with Some p -> p | None -> Plan.build ?cost tai q in
+  let plan = match plan with Some p -> p | None -> Plan.build tai q in
   let steps = Plan.steps plan in
   if domains > 1 && Array.length steps > 0 && steps.(0).Plan.produce_binding
   then

@@ -40,7 +40,6 @@ val run :
   ?obs:Obs.Sink.t ->
   ?config:Tcsq_core.Tsrjoin.config ->
   ?plan:Tcsq_core.Plan.t ->
-  ?cost:Tcsq_core.Plan.cost_model ->
   Tcsq_core.Tai.t ->
   Semantics.Query.t ->
   emit:(Semantics.Match_result.t -> unit) ->

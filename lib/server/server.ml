@@ -431,7 +431,7 @@ let handle_query t send (qr : Protocol.query_request) =
    ECI coverage only for the touched (label, endpoint) groups — then
    swaps in a fresh engine around the maintained TAI
    ([Engine.prepare_with_tai]: no index rebuilds, and no edge scan,
-   since its cost model and analyzer env read the statistics
+   since its analyzer env and the planner read the statistics
    [Graph.append] extends from the batch; adjacency and STI-CP are
    rebuilt lazily iff a later request uses those methods) and
    invalidates the plan cache (plans and estimates are functions of

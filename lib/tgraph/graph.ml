@@ -1,10 +1,10 @@
 (* Planner statistics of one label, kept beside the edge table so the
-   cost model, histograms and analyzer read them without an edge scan.
+   cost model and analyzer read them without an edge scan.
    [append] extends them from the new edges only. *)
 type label_stats = {
   starts : int array; (* edge starts, ascending *)
   ends : int array; (* edge ends, ascending *)
-  len_sum : int; (* sum of interval lengths *)
+  len_sum : int; (* sum of interval lengths, saturating at max_int *)
   max_len : int;
 }
 
@@ -72,6 +72,9 @@ let merge_sorted a b =
     out
   end
 
+(* lengths are positive, so a sum past max_int saturates there *)
+let add_len a b = if a > max_int - b then max_int else a + b
+
 let extend_stats stats ~n_labels edges lo hi =
   let fresh = Array.make n_labels 0 in
   for i = lo to hi - 1 do
@@ -88,7 +91,7 @@ let extend_stats stats ~n_labels edges lo hi =
     starts.(l).(fill.(l)) <- Edge.ts e;
     ends.(l).(fill.(l)) <- Edge.te e;
     fill.(l) <- fill.(l) + 1;
-    len_sum.(l) <- len_sum.(l) + len;
+    len_sum.(l) <- add_len len_sum.(l) len;
     max_len.(l) <- Int.max max_len.(l) len
   done;
   Array.init n_labels (fun l ->
@@ -102,7 +105,7 @@ let extend_stats stats ~n_labels edges lo hi =
         {
           starts = merge_sorted old.starts starts.(l);
           ends = merge_sorted old.ends ends.(l);
-          len_sum = old.len_sum + len_sum.(l);
+          len_sum = add_len old.len_sum len_sum.(l);
           max_len = Int.max old.max_len max_len.(l);
         }
       end)

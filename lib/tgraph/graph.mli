@@ -48,10 +48,12 @@ val time_domain : t -> Temporal.Interval.t
 (** {2 Per-label statistics}
 
     Computed when the graph is built and extended by {!append} from the
-    new edges only, so the planner's cost model, its temporal histograms
-    and the analyzer read them without scanning edges. A label interned
-    into the shared table after the graph was built reads as empty, as
-    does any id outside the table. *)
+    new edges only, so the planner's cost model and the analyzer read
+    them without scanning edges: the planner's window selectivity is the
+    exact count of a label's edges alive in [[ws, we]],
+    [count_starting_before (we + 1) - count_ending_before ws]. A label
+    interned into the shared table after the graph was built reads as
+    empty, as does any id outside the table. *)
 
 val label_count : t -> int -> int
 (** Edges carrying the label. *)
@@ -61,7 +63,7 @@ val label_span : t -> int -> Temporal.Interval.t option
     has none. *)
 
 val label_len_sum : t -> int -> int
-(** Sum of the label's interval lengths. *)
+(** Sum of the label's interval lengths, saturating at [max_int]. *)
 
 val label_max_len : t -> int -> int
 (** Longest interval length of the label, 0 when it has no edges. *)

@@ -68,7 +68,7 @@ let prepare graph =
    of rebuilding it, and defers the Binary/Hybrid adjacency and the
    STI-CP index until a request actually needs them — the default
    TSRJoin serve path never does, so per-batch engine refresh is a lint
-   target (cost model + analyzer env), not three index builds. *)
+   target (the TAI and the analyzer env), not three index builds. *)
 let prepare_with_tai graph tai =
   {
     graph;
@@ -80,15 +80,14 @@ let prepare_with_tai graph tai =
 let graph t = t.graph
 let target t = t.target
 let tai t = Analysis.Lint.tai t.target
-let cost t = Analysis.Lint.cost t.target
 
 (* unchecked: [Tsrjoin.run] validates every plan it executes, fresh or
    cached *)
 let fresh_plan ?edge_scale t q =
-  Tcsq_core.Plan.build ~cost:(cost t) ?edge_scale (tai t) q
+  Tcsq_core.Plan.build ?edge_scale (tai t) q
 
 let selectivity_counters t plan =
-  let est = Analysis.Selectivity.estimate ~cost:(cost t) (tai t) plan in
+  let est = Analysis.Selectivity.estimate (tai t) plan in
   ( Analysis.Selectivity.intermediate_counter est,
     Analysis.Selectivity.level_counters est )
 

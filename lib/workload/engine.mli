@@ -32,7 +32,7 @@ val graph : t -> Tgraph.Graph.t
 val tai : t -> Tcsq_core.Tai.t
 
 val target : t -> Analysis.Lint.target
-(** The engine's TAI with its cost model and analyzer env, built once by
+(** The engine's TAI with its analyzer env, built once by
     {!prepare}/{!prepare_with_tai}. *)
 
 (** {2 Queries} *)

@@ -332,10 +332,9 @@ let test_selectivity_estimate_shape () =
       ~domain:40 ~max_len:10 ()
   in
   let tai = Tcsq_core.Tai.build g in
-  let cost = Tcsq_core.Plan.cost_model tai in
   let query = q ~w:(window 0 39) [ (0, 0, 1); (1, 1, 2) ] in
-  let plan = Tcsq_core.Plan.build ~cost tai query in
-  let est = Selectivity.estimate ~cost tai plan in
+  let plan = Tcsq_core.Plan.build tai query in
+  let est = Selectivity.estimate tai plan in
   Alcotest.(check int) "one estimate per pattern edge" 2
     (Array.length est.Selectivity.edges);
   Alcotest.check Alcotest.bool "has step estimates" true
@@ -429,13 +428,12 @@ let test_planners_produce_clean_plans () =
       ~domain:40 ~max_len:10 ()
   in
   let tai = Tcsq_core.Tai.build g in
-  let cost = Tcsq_core.Plan.cost_model tai in
   List.iter
     (fun query ->
       let plans =
         [
-          ("build", Tcsq_core.Plan.build ~cost tai query);
-          ("adaptive", Tcsq_core.Plan.build_adaptive ~cost tai query);
+          ("build", Tcsq_core.Plan.build tai query);
+          ("adaptive", Tcsq_core.Plan.build_adaptive tai query);
           ( "pivot order",
             Tcsq_core.Plan.of_pivot_order query
               (List.init (Query.n_vars query) Fun.id) );

@@ -14,15 +14,14 @@ let test_adaptive_valid_and_equivalent () =
       ~domain:40 ~max_len:10 ()
   in
   let tai = Tai.build g in
-  let cost = Plan.cost_model tai in
   List.iteri
     (fun i q ->
-      let plan = Plan.build_adaptive ~cost tai q in
+      let plan = Plan.build_adaptive tai q in
       (match Plan.validate plan with
       | Ok () -> ()
       | Error e -> Alcotest.failf "query %d: invalid adaptive plan: %s" i e);
       let expected =
-        Match_result.Result_set.of_list (Tsrjoin.evaluate ~cost tai q)
+        Match_result.Result_set.of_list (Tsrjoin.evaluate tai q)
       in
       let actual =
         Match_result.Result_set.of_list (Tsrjoin.evaluate ~plan tai q)
@@ -84,11 +83,10 @@ let prop_adaptive_equivalent =
           ~domain:30 ~max_len:8 ()
       in
       let tai = Tai.build g in
-      let cost = Plan.cost_model tai in
       let defer_ratio = float_of_int ratio10 /. 10.0 in
       List.for_all
         (fun q ->
-          let plan = Plan.build_adaptive ~cost ~defer_ratio tai q in
+          let plan = Plan.build_adaptive ~defer_ratio tai q in
           Result.is_ok (Plan.validate plan)
           && Match_result.Result_set.equal
                (Match_result.Result_set.of_list (Naive.evaluate g q))

@@ -1,6 +1,9 @@
-(* Tests for the per-label temporal histograms used by the cost model. *)
+(* Tests for the planner's window selectivity: the exact share of a
+   label's edges alive in the query window, read from the graph's sorted
+   per-label starts and ends. *)
 
 open Tgraph
+open Tcsq_core
 
 let graph () =
   (* label 0: ten edges bursty in [0, 9]; label 1: two long edges over
@@ -11,54 +14,50 @@ let graph () =
   in
   Graph.of_edge_list edges
 
+let sel tai lbl ws we = Plan.window_selectivity tai lbl ~ws ~we
+let any = Semantics.Query.any_label
+
 let test_bursty_vs_flat () =
-  let h = Time_histogram.build ~n_buckets:10 (graph ()) in
-  (* the burst label is fully active in [0, 9] and dead in [50, 59] *)
-  let early = Time_histogram.active_in_window h ~lbl:0 ~ws:0 ~we:9 in
-  let late = Time_histogram.active_in_window h ~lbl:0 ~ws:50 ~we:59 in
-  Alcotest.(check bool) "burst early" true (early >= 9.0);
-  Alcotest.(check bool) "burst dead late" true (late < 0.5);
-  (* the long label is active everywhere *)
-  let long_late = Time_histogram.active_in_window h ~lbl:1 ~ws:50 ~we:59 in
-  Alcotest.(check bool) "long label alive late" true (long_late >= 1.5)
+  let tai = Tai.build (graph ()) in
+  let check = Alcotest.(check (float 1e-12)) in
+  (* the burst label is fully alive in [0, 9] and dead in [50, 59] *)
+  check "burst early" 1.0 (sel tai 0 0 9);
+  check "burst dead late" 1e-9 (sel tai 0 50 59);
+  check "point window holds one burst edge" 0.1 (sel tai 0 4 4);
+  (* the long label is alive everywhere *)
+  check "long label alive late" 1.0 (sel tai 1 50 59)
 
 let test_selectivity_bounds () =
-  let h = Time_histogram.build ~n_buckets:10 (graph ()) in
-  let s_early = Time_histogram.selectivity h ~lbl:0 ~ws:0 ~we:9 in
-  let s_late = Time_histogram.selectivity h ~lbl:0 ~ws:50 ~we:59 in
+  let tai = Tai.build (graph ()) in
+  let s_early = sel tai 0 0 4 and s_late = sel tai 0 50 59 in
   Alcotest.(check bool) "in (0, 1]" true (s_early > 0.0 && s_early <= 1.0);
   Alcotest.(check bool) "ordering" true (s_early > s_late);
-  Alcotest.(check bool) "unknown label" true
-    (Time_histogram.selectivity h ~lbl:9 ~ws:0 ~we:9 <= 1e-8)
+  Alcotest.(check bool) "unknown label" true (sel tai 9 0 9 <= 1e-8);
+  Alcotest.(check (float 1e-12)) "wildcard is the max over labels" 1.0
+    (sel tai any 50 59)
 
 let test_empty_graph () =
-  let g = Graph.Builder.finish (Graph.Builder.create ()) in
-  let h = Time_histogram.build g in
-  Alcotest.(check bool) "zero estimate" true
-    (Time_histogram.active_in_window h ~lbl:0 ~ws:0 ~we:10 = 0.0)
+  let tai = Tai.build (Graph.Builder.finish (Graph.Builder.create ())) in
+  Alcotest.(check (float 0.0)) "floor" 1e-9 (sel tai 0 0 10);
+  Alcotest.(check (float 0.0)) "wildcard floor" 1e-9 (sel tai any 0 10)
 
 let test_degenerate_windows () =
-  let h = Time_histogram.build ~n_buckets:4 (graph ()) in
-  Alcotest.(check bool) "inverted window" true
-    (Time_histogram.active_in_window h ~lbl:0 ~ws:9 ~we:0 = 0.0);
-  (* windows beyond the domain clamp to edge buckets *)
-  let far = Time_histogram.active_in_window h ~lbl:1 ~ws:1000 ~we:2000 in
-  Alcotest.(check bool) "clamped lookup is finite" true (far >= 0.0)
+  let tai = Tai.build (graph ()) in
+  Alcotest.(check (float 0.0)) "inverted window" 1e-9 (sel tai 0 9 0);
+  Alcotest.(check (float 0.0)) "beyond the domain" 1e-9 (sel tai 1 1000 2000);
+  Alcotest.(check (float 0.0)) "window to max_int" 1.0 (sel tai 1 50 max_int);
+  Alcotest.(check (float 0.0)) "window from min_int" 1.0 (sel tai 0 min_int 9)
 
 let prop_window_monotone =
   QCheck.Test.make ~name:"wider windows never lose active mass" ~count:200
     QCheck.(triple (int_range 0 5000) (int_range 0 80) (int_range 0 15))
     (fun (seed, ws, width) ->
-      let g =
-        Test_util.random_graph ~seed ~n_vertices:6 ~n_edges:60 ~n_labels:3
-          ~domain:100 ~max_len:20 ()
+      let tai =
+        Tai.build
+          (Test_util.random_graph ~seed ~n_vertices:6 ~n_edges:60 ~n_labels:3
+             ~domain:100 ~max_len:20 ())
       in
-      let h = Time_histogram.build ~n_buckets:16 g in
-      let narrow = Time_histogram.active_in_window h ~lbl:0 ~ws ~we:(ws + width) in
-      let wide =
-        Time_histogram.active_in_window h ~lbl:0 ~ws ~we:(ws + width + 20)
-      in
-      wide +. 1e-9 >= narrow)
+      sel tai 0 ws (ws + width + 20) >= sel tai 0 ws (ws + width))
 
 let prop_full_window_counts_all =
   QCheck.Test.make ~name:"domain-wide window ≈ label count or more" ~count:100
@@ -68,85 +67,51 @@ let prop_full_window_counts_all =
         Test_util.random_graph ~seed ~n_vertices:6 ~n_edges:60 ~n_labels:2
           ~domain:50 ~max_len:10 ()
       in
-      if Tgraph.Graph.n_edges g = 0 then true
-      else begin
-        let h = Time_histogram.build ~n_buckets:8 g in
-        let domain = Tgraph.Graph.time_domain g in
-        let count = ref 0 in
-        Tgraph.Graph.iter_edges
-          (fun e -> if Tgraph.Edge.lbl e = 0 then incr count)
-          g;
-        Time_histogram.active_in_window h ~lbl:0
-          ~ws:(Temporal.Interval.ts domain)
-          ~we:(Temporal.Interval.te domain)
-        +. 1e-6
-        >= float_of_int !count
-      end)
+      Graph.label_count g 0 = 0
+      ||
+      let domain = Graph.time_domain g in
+      sel (Tai.build g) 0 (Temporal.Interval.ts domain)
+        (Temporal.Interval.te domain)
+      = 1.0)
 
-(* With point-mass intervals ([ts, ts]) and at least as many buckets as
-   the time domain has ticks, bucket width is 1 and every bucket is
-   either fully inside or fully outside the window — the overlap
-   estimate must equal the exact overlap count, not approximate it. *)
-let prop_point_mass_exact =
-  QCheck.Test.make ~name:"point-mass estimates are exact" ~count:200
-    QCheck.(triple (int_range 0 5000) (int_range 0 31) (int_range 0 31))
-    (fun (seed, a, b) ->
-      let ws = min a b and we = max a b in
-      let g =
-        Test_util.random_graph ~seed ~n_vertices:6 ~n_edges:40 ~n_labels:2
-          ~domain:32 ~max_len:1 ()
+(* Random edges over three labels, a quarter of them running to
+   [max_int]. *)
+let random_edges rng =
+  List.init (Random.State.int rng 40) (fun _ ->
+      let ts = 1 + Random.State.int rng 60 in
+      let te =
+        if Random.State.int rng 4 = 0 then max_int
+        else ts + Random.State.int rng 15
       in
-      let h = Time_histogram.build ~n_buckets:64 g in
-      let exact = ref 0 in
-      Graph.iter_edges
-        (fun e ->
-          if Edge.lbl e = 0 && Edge.ts e >= ws && Edge.ts e <= we then
-            incr exact)
-        g;
-      let est = Time_histogram.active_in_window h ~lbl:0 ~ws ~we in
-      Float.abs (est -. float_of_int !exact) < 1e-6)
+      (Random.State.int rng 5, Random.State.int rng 5, Random.State.int rng 3,
+       ts, te))
 
-(* For general interval distributions the estimate is only exact up to
-   bucket granularity.  On a window aligned to whole buckets it is
-   sandwiched: at least the exact count of overlapping edges (every
-   overlapping edge touches a window bucket with full coverage), and at
-   most the per-edge touched-bucket cap floor((len-1)/bw) + 2 summed
-   over the overlapping edges — i.e. within bucket-width error. *)
-let prop_aligned_window_bracketing =
-  QCheck.Test.make ~name:"aligned windows within bucket-width error"
-    ~count:200
-    QCheck.(triple (int_range 0 5000) (int_range 0 7) (int_range 1 8))
-    (fun (seed, a, j) ->
-      let g =
-        Test_util.random_graph ~seed ~n_vertices:6 ~n_edges:60 ~n_labels:2
-          ~domain:100 ~max_len:20 ()
+let prop_exact_count =
+  QCheck.Test.make ~name:"window selectivity x label count = naive count"
+    ~count:300
+    QCheck.(triple (int_range 0 5000) (int_range (-10) 90) (int_range (-5) 40))
+    (fun (seed, ws, width) ->
+      let rng = Random.State.make [| seed; 41 |] in
+      let edges = random_edges rng in
+      let labels = Label.of_names [| "l0"; "l1"; "l2" |] in
+      let g = Graph.of_edge_list ~labels edges in
+      let tai = Tai.build g in
+      let we = if Random.State.int rng 5 = 0 then max_int else ws + width in
+      let expected l =
+        let n = List.length (List.filter (fun (_, _, l', _, _) -> l' = l) edges) in
+        let alive =
+          List.length
+            (List.filter
+               (fun (_, _, l', ts, te) -> l' = l && ts <= we && te >= ws)
+               edges)
+        in
+        if n = 0 || alive = 0 || we < ws then 1e-9
+        else float_of_int alive /. float_of_int n
       in
-      let nb = 8 in
-      let h = Time_histogram.build ~n_buckets:nb g in
-      let domain = Tgraph.Graph.time_domain g in
-      let ds = Temporal.Interval.ts domain in
-      let total = Temporal.Interval.length domain in
-      let bw = max 1 ((total + nb - 1) / nb) in
-      (* kmax whole buckets fit inside the domain; pick an aligned
-         sub-range of them so every window bucket has coverage 1 *)
-      let kmax = total / bw in
-      if kmax = 0 then true
-      else begin
-        let a = a mod kmax in
-        let j = 1 + ((j - 1) mod (kmax - a)) in
-        let ws = ds + (a * bw) and we = ds + ((a + j) * bw) - 1 in
-        let exact = ref 0 and cap = ref 0.0 in
-        Graph.iter_edges
-          (fun e ->
-            if Edge.lbl e = 0 && Edge.ts e <= we && Edge.te e >= ws then begin
-              incr exact;
-              let len = Edge.te e - Edge.ts e + 1 in
-              cap := !cap +. float_of_int (((len - 1) / bw) + 2)
-            end)
-          g;
-        let est = Time_histogram.active_in_window h ~lbl:0 ~ws ~we in
-        est +. 1e-6 >= float_of_int !exact && est <= !cap +. 1e-6
-      end)
+      let same a b = Float.abs (a -. b) < 1e-12 in
+      List.for_all (fun l -> same (sel tai l ws we) (expected l)) [ 0; 1; 2 ]
+      && same (sel tai any ws we)
+           (List.fold_left Float.max 1e-9 (List.map expected [ 0; 1; 2 ])))
 
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -161,8 +126,5 @@ let () =
           Alcotest.test_case "degenerate windows" `Quick test_degenerate_windows;
         ] );
       qsuite "properties"
-        [
-          prop_window_monotone; prop_full_window_counts_all;
-          prop_point_mass_exact; prop_aligned_window_bracketing;
-        ];
+        [ prop_window_monotone; prop_full_window_counts_all; prop_exact_count ];
     ]

@@ -236,12 +236,10 @@ let prop_streaming_engine_equals_rebuild =
 (* The planner statistics that [Graph.append] extends from the new
    edges only equal those of the same edges built at once: the time
    domain, every label's cost-model summary (over a merged TAI), the
-   temporal histogram on every bucket-aligned and on random windows,
-   and the analyzer's env. The prefix may be empty; batches start out
-   of order and push the domain's end out. Before some appends a label
-   is interned, which every graph built earlier must read as empty.
-   Single-bucket windows are also checked against the clamped per-edge
-   scan the histogram used to be built by. *)
+   exact window selectivity on random windows, and the analyzer's env.
+   The prefix may be empty; batches start out of order and push the
+   domain's end out. Before some appends a label is interned, which
+   every graph built earlier must read as empty. *)
 let prop_appended_statistics =
   QCheck.Test.make ~name:"appended statistics = built at once" ~count:100
     QCheck.(triple (int_range 0 10_000) (int_range 0 40) (int_range 1 5))
@@ -259,7 +257,7 @@ let prop_appended_statistics =
         if Random.State.bool rng then begin
           let l = Tgraph.Label.intern labels (Printf.sprintf "new%d" step) in
           let env = Analysis.Query_check.env_of_graph !g in
-          let summary = Plan.label_summary (Plan.cost_model !tai) l in
+          let summary = Plan.label_summary !tai l in
           if
             Tgraph.Graph.label_count !g l <> 0
             || Tgraph.Graph.label_span !g l <> None
@@ -269,10 +267,7 @@ let prop_appended_statistics =
             || env.label_counts.(l) <> 0
             || env.label_spans.(l) <> None
             || summary.Plan.count > 1e-9
-            || Tgraph.Time_histogram.active_in_window
-                 (Tgraph.Time_histogram.build !g)
-                 ~lbl:l ~ws:min_int ~we:max_int
-               <> 0.0
+            || Plan.window_selectivity !tai l ~ws:min_int ~we:max_int > 1e-9
           then fail "label %d interned after the build does not read empty" l
         end;
         g :=
@@ -301,55 +296,31 @@ let prop_appended_statistics =
       then fail "analyzer envs differ";
       let n_labels = Tgraph.Label.count labels in
       let lbls = Query.any_label :: List.init (n_labels + 1) Fun.id in
-      let cm = Plan.cost_model !tai and cm' = Plan.cost_model (Tai.build built) in
+      let tai' = Tai.build built in
       List.iter
         (fun l ->
-          if Plan.label_summary cm l <> Plan.label_summary cm' l then
+          if Plan.label_summary !tai l <> Plan.label_summary tai' l then
             fail "label %d: cost-model summaries differ" l)
         lbls;
+      let ds = Temporal.Interval.ts domain
+      and len = Temporal.Interval.length domain in
+      let windows =
+        (min_int, max_int)
+        :: List.init 20 (fun _ ->
+               let ws = ds - 10 + Random.State.int rng (len + 20) in
+               (ws, if Random.State.int rng 4 = 0 then max_int
+                    else ws + Random.State.int rng 60))
+      in
       List.iter
-        (fun n_buckets ->
-          let h = Tgraph.Time_histogram.build ~n_buckets g in
-          let h' = Tgraph.Time_histogram.build ~n_buckets built in
-          let ds = Temporal.Interval.ts domain in
-          let bw =
-            max 1
-              ((Temporal.Interval.length domain + n_buckets - 1) / n_buckets)
-          in
-          let bucket t = min (n_buckets - 1) ((t - ds) / bw) in
-          let windows =
-            List.init n_buckets (fun b -> (ds + (b * bw), ds + ((b + 1) * bw) - 1))
-            @ List.init 20 (fun _ ->
-                  let ws = ds - 10 + Random.State.int rng (Temporal.Interval.length domain + 20) in
-                  (ws, ws + Random.State.int rng 60))
-          in
+        (fun l ->
           List.iter
-            (fun l ->
-              List.iter
-                (fun (ws, we) ->
-                  let a = Tgraph.Time_histogram.active_in_window h ~lbl:l ~ws ~we in
-                  if a <> Tgraph.Time_histogram.active_in_window h' ~lbl:l ~ws ~we
-                  then fail "label %d: histograms differ on [%d, %d]" l ws we)
-                windows;
-              for b = 0 to n_buckets - 1 do
-                let scan = ref 0.0 in
-                Tgraph.Graph.iter_edges
-                  (fun e ->
-                    if
-                      Tgraph.Edge.lbl e = l
-                      && bucket (Tgraph.Edge.ts e) <= b
-                      && b <= bucket (Tgraph.Edge.te e)
-                    then scan := !scan +. 1.0)
-                  g;
-                let ws = ds + (b * bw) in
-                if
-                  Tgraph.Time_histogram.active_in_window h ~lbl:l ~ws
-                    ~we:(ws + bw - 1)
-                  <> !scan
-                then fail "label %d bucket %d: not the per-edge scan" l b
-              done)
-            (List.init n_labels Fun.id))
-        [ 1; 7; 64 ];
+            (fun (ws, we) ->
+              if
+                Plan.window_selectivity !tai l ~ws ~we
+                <> Plan.window_selectivity tai' l ~ws ~we
+              then fail "label %d: window counts differ on [%d, %d]" l ws we)
+            windows)
+        lbls;
       true)
 
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)

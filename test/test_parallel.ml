@@ -23,9 +23,9 @@ let same_sorted msg expected actual =
         Alcotest.failf "%s: sorted matches diverge at %d" msg i)
     (List.combine (sorted expected) (sorted actual))
 
-let par_run ?domains ?chunk ?stats ?obs ?cost tai q =
+let par_run ?domains ?chunk ?stats ?obs tai q =
   Match_result.collect (fun emit ->
-      Exec.Parallel.run ?domains ?chunk ?stats ?obs ?cost tai q ~emit)
+      Exec.Parallel.run ?domains ?chunk ?stats ?obs tai q ~emit)
 
 (* One engine-shaped graph reused by most tests: big enough that every
    query has many root bindings to steal. *)
@@ -36,10 +36,9 @@ let graph () =
 let test_parallel_equals_sequential () =
   let g = graph () in
   let tai = Tai.build g in
-  let cost = Plan.cost_model tai in
   List.iteri
     (fun qi q ->
-      let expected = Tsrjoin.evaluate ~cost tai q in
+      let expected = Tsrjoin.evaluate tai q in
       let oracle = Match_result.Result_set.of_list (Naive.evaluate g q) in
       (match
          Match_result.Result_set.diff_summary ~expected:oracle
@@ -55,7 +54,7 @@ let test_parallel_equals_sequential () =
                 (Printf.sprintf "query %d, %d domains, chunk %d" qi domains
                    chunk)
                 expected
-                (par_run ~domains ~chunk ~cost tai q))
+                (par_run ~domains ~chunk tai q))
             [ 1; 2; 7 ])
         [ 1; 2; 3; 8 ])
     (Test_util.query_pool ~n_labels:3 ~window:(window 8 40))

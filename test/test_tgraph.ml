@@ -62,6 +62,25 @@ let test_builder_validation () =
   Alcotest.(check int) "[1, max_int] survives a binary round trip" max_int
     (Edge.te (Graph.edge (Binary_io.of_bytes (Binary_io.to_bytes g)) 0))
 
+(* Two [1, max_int] edges sum past max_int: the label's length sum
+   saturates there, when built at once and when appended, so the planner
+   reads a huge mean length rather than a wrapped one. *)
+let test_len_sum_saturates () =
+  let long = (0, 1, 0, 1, max_int) and short = (1, 2, 0, 5, 6) in
+  List.iter
+    (fun (name, g) ->
+      Alcotest.(check int) name max_int (Graph.label_len_sum g 0);
+      let s = Tcsq_core.Plan.label_summary (Tcsq_core.Tai.build g) 0 in
+      Alcotest.(check bool) (name ^ ": large mean length") true
+        (s.Tcsq_core.Plan.mean_len > 1e18))
+    [
+      ("built at once", Graph.of_edge_list [ long; long; short ]);
+      ("appended", Graph.append (Graph.of_edge_list [ long ]) [ long; short ]);
+      ( "appended one by one",
+        Graph.append (Graph.append (Graph.of_edge_list [ long ]) [ long ])
+          [ short ] );
+    ]
+
 let test_time_domain () =
   let g = small_graph () in
   Alcotest.(check int) "domain start" 0 (Temporal.Interval.ts (Graph.time_domain g));
@@ -413,6 +432,7 @@ let () =
         [
           Alcotest.test_case "builder basics" `Quick test_builder_basics;
           Alcotest.test_case "builder validation" `Quick test_builder_validation;
+          Alcotest.test_case "length sum saturates" `Quick test_len_sum_saturates;
           Alcotest.test_case "time domain" `Quick test_time_domain;
           Alcotest.test_case "window_of_fraction" `Quick test_window_of_fraction;
           Alcotest.test_case "prefix subsets" `Quick test_prefix;
