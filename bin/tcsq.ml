@@ -563,19 +563,12 @@ let topk_cmd =
   in
   let run g q k =
     if k < 1 then or_die (Error "TOP needs a count >= 1");
-    let eq = q g in
-    let q =
-      if Semantics.Equery.is_plain eq then Semantics.Equery.core eq
-      else
-        or_die
-          (Error
-             "tcsq topk takes a plain query; run an extended query with a \
-              'TOP k' aggregate through 'tcsq query' instead")
-    in
-    let module Top_k = Semantics.Match_result.Top_k in
-    let top = Top_k.create k in
-    Tcsq_core.Tsrjoin.run (Tcsq_core.Tai.build g) q ~emit:(Top_k.offer top);
-    let top = Top_k.drain top in
+    (* -k becomes the query's TOP k aggregate, run by the one executor *)
+    let eq = Semantics.Equery.with_agg (q g) (Some (Semantics.Equery.Top k)) in
+    let top = ref [] in
+    Workload.Engine.run_ext (Workload.Engine.prepare g) Workload.Engine.Tsrjoin
+      eq ~emit:(fun m -> top := m :: !top);
+    let top = List.rev !top in
     List.iter
       (fun m ->
         Format.printf "%4d ticks  %a@."
@@ -840,19 +833,8 @@ let serve_cmd =
              changes the graph, and re-planned from observed \
              cardinalities after repeated misestimation.")
   in
-  let replan_threshold_arg =
-    Arg.(
-      value
-      & opt float Analysis.Explain.misestimation_threshold
-      & info [ "replan-threshold" ] ~docv:"FACTOR"
-          ~doc:
-            "Worst-level misestimation factor beyond which consecutive \
-             executions poison a cached plan and trigger an adaptive \
-             re-plan (the P009/P010 threshold).")
-  in
   let run g socket workers queue deadline_ms limit domains trace_dir
-      trace_sample query_log slow_ms qlog_sample plan_cache_size
-      replan_threshold =
+      trace_sample query_log slow_ms qlog_sample plan_cache_size =
     let engine = Workload.Engine.prepare g in
     let config =
       {
@@ -868,7 +850,6 @@ let serve_cmd =
         slow_ms;
         qlog_sample;
         plan_cache_size;
-        plan_cache_replan_threshold = replan_threshold;
       }
     in
     let srv =
@@ -893,7 +874,7 @@ let serve_cmd =
     Term.(
       const run $ graph $ socket_arg $ workers_arg $ queue_arg $ deadline_arg $ serve_limit_arg $ domains_arg
       $ trace_dir_arg $ trace_sample_arg $ query_log_arg $ slow_ms_arg
-      $ qlog_sample_arg $ plan_cache_size_arg $ replan_threshold_arg)
+      $ qlog_sample_arg $ plan_cache_size_arg)
 
 let client_cmd =
   let metrics_flag =

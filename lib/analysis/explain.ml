@@ -4,7 +4,7 @@ module Plan = Tcsq_core.Plan
 type candidate = {
   name : string;
   plan : Plan.t;
-  est : Selectivity.t;
+  est : Plan.estimate;
   chosen : bool;
   plan_diags : Diagnostic.t list;
 }
@@ -28,27 +28,30 @@ let analyze ?pivot_order target q =
     | Some w -> w
     | None -> Query.window q
   in
+  (* plan the tightened query, as the engine does *)
+  let planned = Query.with_window q window in
   let raw =
     [
-      ("cost-model", Plan.build tai q);
-      ("adaptive", Plan.build_adaptive tai q);
+      ("cost-model", Plan.build tai planned);
+      ("adaptive", Plan.build_adaptive tai planned);
     ]
     @
     match pivot_order with
     | None -> []
-    | Some order -> [ ("pivot-order", Plan.of_pivot_order_unchecked q order) ]
+    | Some order ->
+        [ ("pivot-order", Plan.of_pivot_order_unchecked planned order) ]
   in
   let scored =
     List.map
       (fun (name, plan) ->
-        (name, plan, Selectivity.estimate ~window tai plan,
+        (name, plan, Plan.estimate tai plan,
          Plan_check.check plan))
       raw
   in
   (* dominance is judged among structurally valid candidates only *)
   let cost_of (_, _, est, ds) =
     if Diagnostic.has_errors ds then infinity
-    else est.Selectivity.estimated_intermediate
+    else est.Plan.estimated_intermediate
   in
   let best =
     List.fold_left (fun acc c -> Float.min acc (cost_of c)) infinity scored
@@ -97,8 +100,8 @@ let best_name t =
         (List.fold_left
            (fun acc c ->
              if
-               c.est.Selectivity.estimated_intermediate
-               < acc.est.Selectivity.estimated_intermediate
+               c.est.Plan.estimated_intermediate
+               < acc.est.Plan.estimated_intermediate
              then c
              else acc)
            c rest)
@@ -124,25 +127,25 @@ let pp ~label_names fmt t =
       List.iter (fun d -> Format.fprintf fmt "  %a@," Diagnostic.pp d) ds);
   Format.fprintf fmt "edges:@,";
   List.iter
-    (fun (ee : Selectivity.edge_estimate) ->
-      let e = ee.Selectivity.edge in
+    (fun (ee : Plan.edge_estimate) ->
+      let e = ee.Plan.edge in
       Format.fprintf fmt
         "  e%d %s(x%d,x%d): %.0f labelled edges, %.3g alive in window \
          (fraction %.3g)@,"
         e.Query.idx
         (label_string ~label_names e.Query.lbl)
-        e.Query.src_var e.Query.dst_var ee.Selectivity.count
-        ee.Selectivity.expected_active ee.Selectivity.window_fraction)
+        e.Query.src_var e.Query.dst_var ee.Plan.count
+        ee.Plan.expected_active ee.Plan.window_fraction)
     (match t.candidates with
-    | c :: _ -> Array.to_list c.est.Selectivity.edges
+    | c :: _ -> Array.to_list c.est.Plan.edges
     | [] -> []);
   List.iter
     (fun c ->
       Format.fprintf fmt "plan %s%s:@," c.name
         (if c.chosen then " (chosen)" else "");
       Array.iter
-        (fun (se : Selectivity.step_estimate) ->
-          let st = (Plan.steps c.plan).(se.Selectivity.step_index) in
+        (fun (se : Plan.step_estimate) ->
+          let st = (Plan.steps c.plan).(se.Plan.step_index) in
           let edges =
             String.concat "; "
               (Array.to_list
@@ -153,23 +156,23 @@ let pp ~label_names fmt t =
                         e.Query.src_var e.Query.dst_var)
                     st.Plan.edges))
           in
-          match se.Selectivity.candidates with
+          match se.Plan.candidates with
           | Some cands ->
               Format.fprintf fmt
                 "  %d: pivot x%d (leapfrog, %d candidates) matches [%s] \
                  fanout=%.3g cumulative=%.3g@,"
-                se.Selectivity.step_index se.Selectivity.pivot cands edges
-                se.Selectivity.fanout se.Selectivity.cumulative
+                se.Plan.step_index se.Plan.pivot cands edges
+                se.Plan.fanout se.Plan.cumulative
           | None ->
               Format.fprintf fmt
                 "  %d: pivot x%d matches [%s] fanout=%.3g cumulative=%.3g@,"
-                se.Selectivity.step_index se.Selectivity.pivot edges
-                se.Selectivity.fanout se.Selectivity.cumulative)
-        c.est.Selectivity.steps;
+                se.Plan.step_index se.Plan.pivot edges
+                se.Plan.fanout se.Plan.cumulative)
+        c.est.Plan.steps;
       Format.fprintf fmt
         "  estimated results %.3g, intermediate tuples %.3g@,"
-        c.est.Selectivity.estimated_results
-        c.est.Selectivity.estimated_intermediate;
+        c.est.Plan.estimated_results
+        c.est.Plan.estimated_intermediate;
       List.iter (fun d -> Format.fprintf fmt "  %a@," Diagnostic.pp d)
         c.plan_diags)
     t.candidates;
@@ -183,12 +186,6 @@ let pp ~label_names fmt t =
   Format.fprintf fmt "@]"
 
 (* ---- EXPLAIN ANALYZE: per-level estimated vs measured ---- *)
-
-let misestimation_threshold = 16.0
-
-let misestimation_factor est actual =
-  let e = Float.max est 1.0 and a = Float.max actual 1.0 in
-  Float.max e a /. Float.min e a
 
 type level_row = {
   level : int;
@@ -234,23 +231,23 @@ let run_analyze target t =
           let rows =
             Array.to_list
               (Array.map
-                 (fun (se : Selectivity.step_estimate) ->
-                   let level = se.Selectivity.step_index in
+                 (fun (se : Plan.step_estimate) ->
+                   let level = se.Plan.step_index in
                    let actual = actual_at level in
                    {
                      level;
-                     pivot = se.Selectivity.pivot;
-                     est_cumulative = se.Selectivity.cumulative;
+                     pivot = se.Plan.pivot;
+                     est_cumulative = se.Plan.cumulative;
                      actual;
-                     factor = misestimation_factor se.Selectivity.cumulative
+                     factor = Plan.misestimation_factor se.Plan.cumulative
                          (float_of_int actual);
                    })
-                 chosen.est.Selectivity.steps)
+                 chosen.est.Plan.steps)
           in
           let p009 =
             List.filter_map
               (fun r ->
-                if r.factor > misestimation_threshold then
+                if r.factor > Plan.misestimation_threshold then
                   Some
                     (Diagnostic.make ~code:"P009" ~severity:Warning
                        ~location:(Step r.level)
@@ -267,12 +264,7 @@ let run_analyze target t =
           let replan =
             if p009 = [] then None
             else
-              let est_levels =
-                Array.map
-                  (fun (se : Selectivity.step_estimate) ->
-                    int_of_float (Float.round se.Selectivity.cumulative))
-                  chosen.est.Selectivity.steps
-              in
+              let est_levels = Plan.level_counters chosen.est in
               let edge_scale =
                 Plan.calibration chosen.plan ~est_levels ~levels:actuals
               in
@@ -327,7 +319,7 @@ let pp_analyzed fmt a =
     a.exec_stats.Run_stats.results;
   (match a.analyze_diags with
   | [] -> Format.fprintf fmt "  misestimation: all levels within x%.0f"
-            misestimation_threshold
+            Plan.misestimation_threshold
   | ds ->
       Format.fprintf fmt "  misestimation:@,";
       List.iteri
@@ -387,35 +379,35 @@ let analyzed_to_json a =
               ] );
     ]
 
-let est_to_json (est : Selectivity.t) =
+let est_to_json (est : Plan.estimate) =
   J.Obj
     [
       ( "window",
         J.Obj
-          [ ("ws", J.Int est.Selectivity.ws); ("we", J.Int est.Selectivity.we) ]
+          [ ("ws", J.Int est.Plan.ws); ("we", J.Int est.Plan.we) ]
       );
-      ("estimated_results", g6 est.Selectivity.estimated_results);
-      ("estimated_intermediate", g6 est.Selectivity.estimated_intermediate);
+      ("estimated_results", g6 est.Plan.estimated_results);
+      ("estimated_intermediate", g6 est.Plan.estimated_intermediate);
       ( "steps",
         J.List
           (Array.to_list
              (Array.map
-                (fun (se : Selectivity.step_estimate) ->
+                (fun (se : Plan.step_estimate) ->
                   J.Obj
                     ([
-                       ("index", J.Int se.Selectivity.step_index);
-                       ("pivot", J.Int se.Selectivity.pivot);
-                       ("root", J.Bool se.Selectivity.root);
-                       ("n_edges", J.Int se.Selectivity.n_edges);
+                       ("index", J.Int se.Plan.step_index);
+                       ("pivot", J.Int se.Plan.pivot);
+                       ("root", J.Bool se.Plan.root);
+                       ("n_edges", J.Int se.Plan.n_edges);
                      ]
-                    @ (match se.Selectivity.candidates with
+                    @ (match se.Plan.candidates with
                       | Some c -> [ ("candidates", J.Int c) ]
                       | None -> [])
                     @ [
-                        ("fanout", g6 se.Selectivity.fanout);
-                        ("cumulative", g6 se.Selectivity.cumulative);
+                        ("fanout", g6 se.Plan.fanout);
+                        ("cumulative", g6 se.Plan.cumulative);
                       ]))
-                est.Selectivity.steps)) );
+                est.Plan.steps)) );
     ]
 
 let to_json ?analyzed ~label_names t =
@@ -445,18 +437,18 @@ let to_json ?analyzed ~label_names t =
           | c :: _ ->
               Array.to_list
                 (Array.map
-                   (fun (ee : Selectivity.edge_estimate) ->
-                     let e = ee.Selectivity.edge in
+                   (fun (ee : Plan.edge_estimate) ->
+                     let e = ee.Plan.edge in
                      J.Obj
                        [
                          ("edge", J.Int e.Query.idx);
                          ( "label",
                            J.String (label_string ~label_names e.Query.lbl) );
-                         ("count", g6 ee.Selectivity.count);
-                         ("window_fraction", g6 ee.Selectivity.window_fraction);
-                         ("expected_active", g6 ee.Selectivity.expected_active);
+                         ("count", g6 ee.Plan.count);
+                         ("window_fraction", g6 ee.Plan.window_fraction);
+                         ("expected_active", g6 ee.Plan.expected_active);
                        ])
-                   c.est.Selectivity.edges)) );
+                   c.est.Plan.edges)) );
       ( "plans",
         J.List
           (List.map

@@ -3,7 +3,7 @@
     Combines the three analysis passes into one artifact: query
     diagnostics ({!Query_check} + {!Bound}), the propagated interval
     bounds and effective window, and — per candidate plan — the
-    {!Selectivity} estimate annotated onto every TSRJoin level, plus
+    {!Tcsq_core.Plan.estimate} annotated onto every TSRJoin level, plus
     plan-invariant diagnostics and [P008] dominated-plan warnings.
 
     Candidates are the cost-model plan (the one the engine executes),
@@ -23,8 +23,8 @@
     - [P008] (Warning) dominated plan: estimated cost exceeds the best
       candidate's by more than 4x
     - [P009] (Warning) misestimated level: the cost model's per-level
-      prediction is off by more than {!misestimation_threshold} in
-      either direction
+      prediction is off by more than
+      {!Tcsq_core.Plan.misestimation_threshold} in either direction
     - [P010] (Hint) re-planned from feedback: a [P009] misestimation
       triggered a {!Tcsq_core.Plan.calibration} re-plan with the
       observed cardinalities; the diagnostic reports whether the
@@ -34,7 +34,7 @@
 type candidate = {
   name : string;  (** ["cost-model"], ["adaptive"] or ["pivot-order"] *)
   plan : Tcsq_core.Plan.t;
-  est : Selectivity.t;  (** against the {e effective} window *)
+  est : Tcsq_core.Plan.estimate;  (** against the {e effective} window *)
   chosen : bool;  (** what {!Workload.Engine} would execute *)
   plan_diags : Diagnostic.t list;  (** plan invariants + [P008] *)
 }
@@ -47,27 +47,16 @@ type t = {
 }
 
 val analyze : ?pivot_order:int list -> Lint.target -> Semantics.Query.t -> t
-(** Estimates use {!Bound}'s effective window so the report reflects
-    what propagation already proved. Never raises on planner-invalid
-    candidates — their diagnostics ride in [plan_diags]. *)
-
-val misestimation_threshold : float
-(** 16.0: a level whose estimated and measured intermediate
-    cardinalities differ by more than this factor (either direction) is
-    flagged [P009]. The plan cache's re-plan trigger and the server's
-    [--replan-threshold] default to it too. *)
-
-val misestimation_factor : float -> float -> float
-(** [misestimation_factor est actual]: the symmetric est-vs-actual
-    factor, [max / min] with both sides floored at 1 — always [>= 1],
-    direction-agnostic, finite on a true-zero level. [P009], the plan
-    cache's re-plan decision and the query log's [misestimation] all
-    use it. *)
+(** Candidates are planned and estimated on {!Bound}'s effective
+    window, as the engine plans the tightened query, so the report
+    reflects what propagation already proved. Never raises on
+    planner-invalid candidates — their diagnostics ride in
+    [plan_diags]. *)
 
 type level_row = {
   level : int;
   pivot : int;
-  est_cumulative : float;  (** the static {!Selectivity} prediction *)
+  est_cumulative : float;  (** the static {!Tcsq_core.Plan.estimate} *)
   actual : int;  (** the measured {!Semantics.Run_stats} level counter *)
   factor : float;  (** symmetric misestimation factor, always >= 1 *)
 }

@@ -1,5 +1,34 @@
 open Semantics
 
+(* The estimate records come before [step] so that, for callers, the
+   shared labels [pivot] and [edges] resolve to [step]. *)
+
+type edge_estimate = {
+  edge : Query.edge;
+  count : float;
+  window_fraction : float;
+  expected_active : float;
+}
+
+type step_estimate = {
+  step_index : int;
+  pivot : int;
+  root : bool;
+  n_edges : int;
+  candidates : int option;
+  fanout : float;
+  cumulative : float;
+}
+
+type estimate = {
+  ws : int;
+  we : int;
+  edges : edge_estimate array;
+  steps : step_estimate array;
+  estimated_results : float;
+  estimated_intermediate : float;
+}
+
 type step = {
   pivot : int;
   edges : Query.edge array;
@@ -180,25 +209,34 @@ let leapfrog_count tai v edges =
   Triejoin.Leapfrog.iter (fun _ -> incr count) (Triejoin.Leapfrog.create iters);
   !count
 
-let root_candidate_count tai sim v =
-  leapfrog_count tai v (unmatched_adjacent sim v)
+(* The one per-edge factor of the model: the expected TSR size of [e]
+   at pivot [v]. With its other endpoint already bound the TSR is
+   roughly the label's mean multi-edge count; otherwise it is the mean
+   fan-out on the pivot's side. *)
+let edge_size tai ~bound v (e : Query.edge) =
+  let s = label_summary tai e.Query.lbl in
+  let other = Query.other_endpoint e v in
+  if other <> v && bound other then
+    Float.max (s.avg_out /. Float.max (s.count /. s.avg_in) 1.0) 1e-3
+  else if e.Query.src_var = v then s.avg_out
+  else s.avg_in
 
-let step_root_candidates tai step =
-  leapfrog_count tai step.pivot (Array.to_list step.edges)
+(* a root pivot starts a fresh component: nothing around it is bound *)
+let unbound (_ : int) = false
 
 let root_score tai sim es v =
   let ws = Query.ws sim.q and we = Query.we sim.q in
   let edges = unmatched_adjacent sim v in
-  let candidates = root_candidate_count tai sim v in
+  let candidates = leapfrog_count tai v edges in
   if candidates = 0 then neg_infinity (* provably empty: best possible root *)
   else begin
     let per_candidate =
       List.fold_left
         (fun acc e ->
-          let s = label_summary tai e.Query.lbl in
-          let size = if e.Query.src_var = v then s.avg_out else s.avg_in in
           acc
-          +. log (size *. window_selectivity tai e.Query.lbl ~ws ~we)
+          +. log
+               (edge_size tai ~bound:unbound v e
+               *. window_selectivity tai e.Query.lbl ~ws ~we)
           +. log (window_shrink tai e.Query.lbl ~ws ~we)
           +. log (es e))
         0.0 edges
@@ -216,16 +254,9 @@ let root_score tai sim es v =
    under the current bindings, shrunk by temporal overlap. *)
 let edge_log_size sim tai v (e : Query.edge) =
   let ws = Query.ws sim.q and we = Query.we sim.q in
-  let s = label_summary tai e.Query.lbl in
-  let other = Query.other_endpoint e v in
-  let size =
-    if other <> v && sim.bound.(other) then
-      (* fully bound TSR: roughly avg multi-edge count *)
-      max (s.avg_out /. max (s.count /. s.avg_in) 1.0) 1e-3
-    else if e.Query.src_var = v then s.avg_out
-    else s.avg_in
-  in
-  log (size *. window_selectivity tai e.Query.lbl ~ws ~we)
+  log
+    (edge_size tai ~bound:(fun u -> sim.bound.(u)) v e
+    *. window_selectivity tai e.Query.lbl ~ws ~we)
   +. log (window_shrink tai e.Query.lbl ~ws ~we)
 
 (* Expected extension factor of a bound pivot: the product of its
@@ -280,6 +311,95 @@ let build_loop ?select_bound ?(edge_scale = no_scale) tai sim =
 
 let build ?edge_scale tai q = build_loop ?edge_scale tai (sim_create q)
 
+(* ---- estimates: the same model in absolute space ----
+
+   A replay of the planner's binding state over a finished plan, so each
+   edge's TSR size uses the boundness the planner scored it with. *)
+
+let estimate tai p =
+  let ws = Query.ws p.query and we = Query.we p.query in
+  let edges =
+    Array.map
+      (fun (e : Query.edge) ->
+        let s = label_summary tai e.Query.lbl in
+        let frac = window_selectivity tai e.Query.lbl ~ws ~we in
+        {
+          edge = e;
+          count = s.count;
+          window_fraction = frac;
+          expected_active = s.count *. frac;
+        })
+      (Query.edges p.query)
+  in
+  let bound = Array.make (Query.n_vars p.query) false in
+  let cum = ref 1.0 in
+  let total = ref 0.0 in
+  let steps =
+    Array.mapi
+      (fun i (st : step) ->
+        let v = st.pivot in
+        let root = st.produce_binding in
+        let bound_at = if root then unbound else fun u -> bound.(u) in
+        let f = ref 1.0 in
+        Array.iteri
+          (fun k (e : Query.edge) ->
+            (* a root's first edge needs no overlap partner *)
+            let shrink =
+              if root && k = 0 then 1.0
+              else window_shrink tai e.Query.lbl ~ws ~we
+            in
+            f :=
+              !f *. edge_size tai ~bound:bound_at v e
+              *. window_selectivity tai e.Query.lbl ~ws ~we
+              *. shrink)
+          st.edges;
+        let fanout, candidates =
+          if root then begin
+            let c = leapfrog_count tai v (Array.to_list st.edges) in
+            (float_of_int c *. !f, Some c)
+          end
+          else (!f, None)
+        in
+        Array.iter
+          (fun (e : Query.edge) ->
+            bound.(e.Query.src_var) <- true;
+            bound.(e.Query.dst_var) <- true)
+          st.edges;
+        bound.(v) <- true;
+        (* a later component's root multiplies: the result is the
+           cartesian product of component matches *)
+        cum := !cum *. fanout;
+        total := !total +. !cum;
+        {
+          step_index = i;
+          pivot = v;
+          root;
+          n_edges = Array.length st.edges;
+          candidates;
+          fanout;
+          cumulative = !cum;
+        })
+      p.steps
+  in
+  {
+    ws;
+    we;
+    edges;
+    steps;
+    estimated_results = (if Array.length steps = 0 then 0.0 else !cum);
+    estimated_intermediate = !total;
+  }
+
+let counter_of v =
+  if Float.is_nan v || v <= 0.0 then 0
+  else int_of_float (Float.round (Float.min v 1e15))
+
+let intermediate_counter (est : estimate) =
+  counter_of est.estimated_intermediate
+
+let level_counters (est : estimate) =
+  Array.map (fun (se : step_estimate) -> counter_of se.cumulative) est.steps
+
 (* Per-edge correction factors from one execution's per-level feedback:
    level [i]'s cumulative misestimation ratio r_i = actual_i / est_i is
    localized to the step that introduced it (f_i = r_i / r_{i-1}) and
@@ -309,6 +429,26 @@ let calibration p ~est_levels ~levels =
   fun (e : Query.edge) ->
     if e.Query.idx >= 0 && e.Query.idx < n_edges then scale.(e.Query.idx)
     else 1.0
+
+(* ---- misestimation policy ---- *)
+
+let misestimation_threshold = 16.0
+
+let misestimation_factor est actual =
+  let e = Float.max est 1.0 and a = Float.max actual 1.0 in
+  Float.max e a /. Float.min e a
+
+let worst_misestimation ~est_levels ~levels =
+  let get a i = if i < Array.length a then a.(i) else 0 in
+  let worst = ref 1.0 in
+  for i = 0 to max (Array.length est_levels) (Array.length levels) - 1 do
+    worst :=
+      Float.max !worst
+        (misestimation_factor
+           (float_of_int (get est_levels i))
+           (float_of_int (get levels i)))
+  done;
+  !worst
 
 let build_adaptive ?(defer_ratio = 8.0) tai q =
   if defer_ratio < 1.0 then

@@ -12,7 +12,40 @@
     (the exact leapfrog candidate count, per-label fan-out, the share of
     each label's edges alive in the query window, and a mean-length
     overlap shrink); subsequent pivots greedily minimize the expected
-    extension factor. *)
+    extension factor. {!estimate} reports the same model per plan level
+    in absolute space, and {!calibration} with the misestimation policy
+    below turns measured levels back into planner input. *)
+
+(** {2 Cardinality estimates}
+
+    The records {!estimate} returns. They are declared before {!step},
+    so [s.pivot] and [s.edges] resolve to {!step} for callers. *)
+
+type edge_estimate = {
+  edge : Semantics.Query.edge;
+  count : float;  (** graph edges carrying the label *)
+  window_fraction : float;  (** exact share alive in the window *)
+  expected_active : float;  (** [count *. window_fraction] *)
+}
+
+type step_estimate = {
+  step_index : int;
+  pivot : int;
+  root : bool;  (** leapfrog binding-producing step *)
+  n_edges : int;  (** query edges matched at this step *)
+  candidates : int option;  (** exact leapfrog count (roots only) *)
+  fanout : float;  (** expected multiplier per upstream partial match *)
+  cumulative : float;  (** expected partial matches after this step *)
+}
+
+type estimate = {
+  ws : int;
+  we : int;  (** the window the estimate was computed against *)
+  edges : edge_estimate array;  (** indexed by query edge *)
+  steps : step_estimate array;  (** aligned with the plan's steps *)
+  estimated_results : float;  (** the last step's cumulative *)
+  estimated_intermediate : float;  (** sum of all cumulatives *)
+}
 
 type step = {
   pivot : int;
@@ -27,12 +60,10 @@ val query : t -> Semantics.Query.t
 
 (** {2 Cost-model primitives}
 
-    The raw factors the planner scores with, exposed so the static
-    analyzer ([Analysis.Selectivity]) can replay the same model in
-    absolute-cardinality space and explain the ranking. Each reads the
-    graph's per-label statistics ({!Tgraph.Graph.label_count} and kin)
-    and the TAI's key sets on demand: O(1) or a binary search per label,
-    no edge scan. *)
+    The per-label factors the planner and {!estimate} read. Each reads
+    the graph's per-label statistics ({!Tgraph.Graph.label_count} and
+    kin) and the TAI's key sets on demand: O(1) or a binary search per
+    label, no edge scan. *)
 
 type label_summary = {
   count : float;  (** edges carrying the label *)
@@ -51,17 +82,6 @@ val window_selectivity : Tai.t -> int -> ws:int -> we:int -> float
     An inverted window, an unknown label or one with no edges reads
     [1e-9]. *)
 
-val window_shrink : Tai.t -> int -> ws:int -> we:int -> float
-(** The joint-overlap shrink factor an extra edge of this label costs a
-    partial match: mean interval length over window length, capped to
-    [(0, 1]]. *)
-
-val step_root_candidates : Tai.t -> step -> int
-(** Exact candidate-binding count of a leapfrog root step: the size of
-    the intersection of the pivot's TAI key sets — the same number the
-    planner used when scoring the root. Meaningless for non-root
-    steps. *)
-
 val build :
   ?edge_scale:(Semantics.Query.edge -> float) -> Tai.t -> Semantics.Query.t -> t
 (** Cost-model planner.
@@ -73,6 +93,36 @@ val build :
     estimates. Scores only: the produced plan is always structurally
     valid and result-identical to an uncalibrated one. *)
 
+val build_adaptive : ?defer_ratio:float -> Tai.t -> Semantics.Query.t -> t
+(** The paper's §VII future-work direction: a hybrid plan that may match
+    only a {e subset} of a pivot's unmatched adjacent edges per step,
+    deferring edges whose expected TSR size exceeds [defer_ratio]
+    (default 8.0) times the step's most selective edge. Deferred edges
+    are matched by later steps, after the partial match's lifespan has
+    narrowed and other predicates have pruned — the fix for the
+    non-selective-chain weakness observed in Fig. 11. Falls back to
+    {!build}-like steps when nothing is worth deferring. *)
+
+val estimate : Tai.t -> t -> estimate
+(** The planner's cost model replayed over a finished plan in absolute
+    space, on the plan query's window: per query edge, the expected
+    number of label edges alive in the window; per step, the expected
+    fan-out and the cumulative partial-match count after it (the paper's
+    per-level intermediate cardinality). Root steps use the exact
+    leapfrog candidate count. Deterministic in (graph, plan):
+    [tcsq explain], the query log and the plan cache all read it. *)
+
+val intermediate_counter : estimate -> int
+(** [estimated_intermediate] rounded and clamped to a non-negative
+    integer, the value recorded in
+    {!Semantics.Run_stats.add_est_intermediate}. *)
+
+val level_counters : estimate -> int array
+(** Per-step [cumulative] rounded and clamped like
+    {!intermediate_counter}, aligned with the plan's steps: the levels
+    recorded in {!Semantics.Run_stats.add_est_level_intermediate}, fed
+    to {!calibration} and compared by [tcsq explain --analyze]. *)
+
 val calibration :
   t -> est_levels:int array -> levels:int array -> Semantics.Query.edge -> float
 (** [calibration plan ~est_levels ~levels] turns one execution's
@@ -83,15 +133,26 @@ val calibration :
     over that step's edges, clamped to [[1/1024, 1024]]. Missing levels
     count as matching the estimate; edges outside [plan] score [1.0]. *)
 
-val build_adaptive : ?defer_ratio:float -> Tai.t -> Semantics.Query.t -> t
-(** The paper's §VII future-work direction: a hybrid plan that may match
-    only a {e subset} of a pivot's unmatched adjacent edges per step,
-    deferring edges whose expected TSR size exceeds [defer_ratio]
-    (default 8.0) times the step's most selective edge. Deferred edges
-    are matched by later steps, after the partial match's lifespan has
-    narrowed and other predicates have pruned — the fix for the
-    non-selective-chain weakness observed in Fig. 11. Falls back to
-    {!build}-like steps when nothing is worth deferring. *)
+(** {2 Misestimation policy}
+
+    When measured per-level cardinalities disagree with {!estimate}
+    enough to act on: [P009] in [tcsq explain --analyze], the plan
+    cache's re-plan trigger and the query log's [misestimation]. *)
+
+val misestimation_threshold : float
+(** 16.0: a level whose estimated and measured cardinalities differ by
+    more than this factor, in either direction, is misestimated. *)
+
+val misestimation_factor : float -> float -> float
+(** [misestimation_factor est actual]: [max / min] with both sides
+    floored at 1, so always [>= 1], direction-agnostic and finite on a
+    true-zero level. *)
+
+val worst_misestimation : est_levels:int array -> levels:int array -> float
+(** The largest {!misestimation_factor} over the levels of either
+    array (a missing level counts as 0); [1.0] when both are empty. *)
+
+(** {2 Explicit plans} *)
 
 val of_pivot_order : Semantics.Query.t -> int list -> t
 (** Plan with an explicit pivot preference order (for tests and

@@ -29,17 +29,26 @@ exception Parse_error of error
 let fail position fmt =
   Format.kasprintf (fun message -> raise (Parse_error { position; message })) fmt
 
+let is_digit c = c >= '0' && c <= '9'
+
 let is_ident_char c =
-  (c >= 'a' && c <= 'z')
-  || (c >= 'A' && c <= 'Z')
-  || (c >= '0' && c <= '9')
-  || c = '_'
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || is_digit c || c = '_'
 
 let lex input =
   let n = String.length input in
   let out = ref [] in
   let i = ref 0 in
   let push token position = out := { token; position } :: !out in
+  (* an integer literal from [!i], a leading '-' included *)
+  let lex_int () =
+    let j = ref (!i + 1) in
+    while !j < n && is_digit input.[!j] do incr j done;
+    let text = String.sub input !i (!j - !i) in
+    (match int_of_string_opt text with
+    | Some v -> push (Tint v) !i
+    | None -> fail !i "integer literal %s is out of range" text);
+    i := !j
+  in
   while !i < n do
     let c = input.[!i] in
     let at = !i in
@@ -59,6 +68,7 @@ let lex input =
         push Tarrow_out_head at;
         i := !i + 2
       end
+      else if !i + 1 < n && is_digit input.[!i + 1] then lex_int ()
       else fail at "expected '[' after '-'"
     end
     else if c = ']' then begin
@@ -80,15 +90,7 @@ let lex input =
       end
       else fail at "expected '-[' after '<'"
     end
-    else if c >= '0' && c <= '9' then begin
-      let j = ref !i in
-      while !j < n && input.[!j] >= '0' && input.[!j] <= '9' do incr j done;
-      let digits = String.sub input !i (!j - !i) in
-      (match int_of_string_opt digits with
-      | Some v -> push (Tint v) at
-      | None -> fail at "integer literal %s is out of range" digits);
-      i := !j
-    end
+    else if is_digit c then lex_int ()
     else if is_ident_char c then begin
       let j = ref !i in
       while !j < n && is_ident_char input.[!j] do incr j done;

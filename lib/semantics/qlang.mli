@@ -16,7 +16,7 @@
     allen    ::= ALIAS REL ALIAS                 REL = BEFORE | MEETS | ... |
                                                  FINISHED_BY | AFTER
     label    ::= LABEL | "*"                     "*" = any label
-    window   ::= "[" INT "," INT "]"
+    window   ::= "[" INT "," INT "]"             INT = "-"? digits, in int range
     v}
 
     [NOT], [EXISTS], [WHERE], [AND], [COUNT], [TOP] and the Allen

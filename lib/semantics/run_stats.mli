@@ -37,8 +37,8 @@ type t = {
   mutable seeks : int;  (** leapfrog seeks/advances and TAI/ECI index
                             probes — the topological-selectivity work *)
   mutable est_intermediate : int;
-      (** the static analyzer's predicted intermediate-tuple count
-          ([Analysis.Selectivity]), recorded once per TSRJoin query so
+      (** the cost model's predicted intermediate-tuple count
+          ([Tcsq_core.Plan.estimate]), recorded once per TSRJoin query so
           estimator error ([est_intermediate] vs [intermediate]) is
           observable per query; 0 for methods without an estimator *)
   mutable level_intermediate : int array;
@@ -48,8 +48,8 @@ type t = {
           Empty for methods without levelled execution. Prefer
           {!levels} (a defensive copy) over reading this directly. *)
   mutable est_level_intermediate : int array;
-      (** the static analyzer's per-level predictions
-          ([Analysis.Selectivity] cumulatives), recorded once per
+      (** the cost model's per-level predictions
+          ([Tcsq_core.Plan.estimate] cumulatives), recorded once per
           TSRJoin query next to [est_intermediate]. *)
   limits : limits;
   mutable deadline : deadline option;

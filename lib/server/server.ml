@@ -47,10 +47,6 @@ type config = {
   (* bound on the shared plan cache (entries); 0 disables caching —
      every request plans from scratch, exactly the pre-cache behavior *)
   plan_cache_size : int;
-  (* worst-level symmetric est-vs-actual factor that counts an execution
-     as misestimated for the cache's adaptive re-planning; the default
-     is the P009 threshold, Explain.misestimation_threshold *)
-  plan_cache_replan_threshold : float;
 }
 
 let default_config ~socket_path =
@@ -70,7 +66,6 @@ let default_config ~socket_path =
     slow_ms = None;
     qlog_sample = 1.0;
     plan_cache_size = 256;
-    plan_cache_replan_threshold = Analysis.Explain.misestimation_threshold;
   }
 
 type t = {
@@ -179,14 +174,7 @@ let levels_of_stats stats =
   let misest =
     if Array.length est = 0 then None
     else
-      Some
-        (List.fold_left
-           (fun m (l : Obs.Qlog.level) ->
-             Float.max m
-               (Analysis.Explain.misestimation_factor
-                  (float_of_int l.Obs.Qlog.est)
-                  (float_of_int l.Obs.Qlog.actual)))
-           1.0 levels)
+      Some (Tcsq_core.Plan.worst_misestimation ~est_levels:est ~levels:act)
   in
   (levels, misest)
 
@@ -703,8 +691,7 @@ let start config engine =
         (if config.plan_cache_size = 0 then None
          else
            Some
-             (Workload.Plan_cache.create ~capacity:config.plan_cache_size
-                ~replan_threshold:config.plan_cache_replan_threshold ()));
+             (Workload.Plan_cache.create ~capacity:config.plan_cache_size ()));
       inc =
         Tcsq_core.Incremental.of_tai
           (Workload.Engine.graph engine)

@@ -86,13 +86,13 @@ let tai t = Analysis.Lint.tai t.target
 let fresh_plan ?edge_scale t q =
   Tcsq_core.Plan.build ?edge_scale (tai t) q
 
-let selectivity_counters t plan =
-  let est = Analysis.Selectivity.estimate (tai t) plan in
-  ( Analysis.Selectivity.intermediate_counter est,
-    Analysis.Selectivity.level_counters est )
+let estimate_counters t plan =
+  let est = Tcsq_core.Plan.estimate (tai t) plan in
+  ( Tcsq_core.Plan.intermediate_counter est,
+    Tcsq_core.Plan.level_counters est )
 
-(* records the static analyzer's intermediate-cardinality prediction on
-   the caller's stats (satellite of `tcsq explain`): deterministic in
+(* records the cost model's intermediate-cardinality prediction, the
+   one `tcsq explain` reports, on the caller's stats: deterministic in
    (plan, window), so sequential and parallel runs agree and merged
    per-domain stats (which contribute 0) stay additive *)
 let record_est_counters ?stats (est_intermediate, est_levels) =
@@ -108,7 +108,7 @@ let record_est_counters ?stats (est_intermediate, est_levels) =
 let record_estimate ?stats t plan =
   match stats with
   | None -> ()
-  | Some _ -> record_est_counters ?stats (selectivity_counters t plan)
+  | Some _ -> record_est_counters ?stats (estimate_counters t plan)
 
 let set_source plan_source src =
   match plan_source with None -> () | Some r -> r := Some src
@@ -118,8 +118,8 @@ let set_source plan_source src =
    With a cache, the lookup/store/feedback bookkeeping runs
    under [plan_cache] and only actual planning work (miss or replan)
    under [plan_select] — so a hit's plan_select self-time is honestly
-   ~0. Cached estimates are recorded from the entry without replaying
-   the analyzer. *)
+   ~0. Cached estimates are recorded from the entry without estimating
+   again. *)
 let tsrjoin_plan ?plan_cache ?plan_source ?stats ~obs t q =
   match plan_cache with
   | None ->
@@ -134,7 +134,7 @@ let tsrjoin_plan ?plan_cache ?plan_source ?stats ~obs t q =
         let plan, est =
           Obs.Sink.span obs Obs.Phase.Plan_select (fun () ->
               let plan = fresh_plan ?edge_scale t q in
-              (plan, selectivity_counters t plan))
+              (plan, estimate_counters t plan))
         in
         Obs.Sink.span obs Obs.Phase.Plan_cache (fun () ->
             Plan_cache.store cache q ~plan ~est_intermediate:(fst est)

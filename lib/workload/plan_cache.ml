@@ -51,8 +51,6 @@ type entry = {
 type t = {
   mutex : Mutex.t;
   cap : int;
-  replan_threshold : float;
-  replan_after : int;
   table : (string, entry) Hashtbl.t;
   mutable clock : int;
   mutable generation : int;
@@ -63,19 +61,15 @@ type t = {
   mutable replans : int;
 }
 
-let create ?(capacity = 256)
-    ?(replan_threshold = Analysis.Explain.misestimation_threshold)
-    ?(replan_after = 2) () =
+(* consecutive misestimated executions that poison an entry: one
+   outlier run is not enough to throw a plan away *)
+let strikes = 2
+
+let create ?(capacity = 256) () =
   if capacity < 0 then invalid_arg "Plan_cache.create: negative capacity";
-  if replan_threshold < 1.0 then
-    invalid_arg "Plan_cache.create: replan_threshold must be >= 1";
-  if replan_after < 1 then
-    invalid_arg "Plan_cache.create: replan_after must be >= 1";
   {
     mutex = Mutex.create ();
     cap = capacity;
-    replan_threshold;
-    replan_after;
     table = Hashtbl.create (max 16 (min capacity 1024));
     clock = 0;
     generation = 0;
@@ -256,19 +250,6 @@ let store t q ~plan ~est_intermediate ~est_levels =
               }))
   end
 
-let worst_factor est_levels levels =
-  let n = max (Array.length est_levels) (Array.length levels) in
-  let get a i = if i < Array.length a then a.(i) else 0 in
-  let worst = ref 1.0 in
-  for i = 0 to n - 1 do
-    worst :=
-      Float.max !worst
-        (Analysis.Explain.misestimation_factor
-           (float_of_int (get est_levels i))
-           (float_of_int (get levels i)))
-  done;
-  !worst
-
 let feedback t q ~levels =
   if t.cap > 0 then
     let key = Fingerprint.canonical_plan q in
@@ -277,10 +258,14 @@ let feedback t q ~levels =
         | None -> ()
         | Some entry when entry.calibrated -> ()
         | Some entry ->
-            if worst_factor entry.est_levels levels > t.replan_threshold then begin
+            if
+              Tcsq_core.Plan.worst_misestimation ~est_levels:entry.est_levels
+                ~levels
+              > Tcsq_core.Plan.misestimation_threshold
+            then begin
               entry.consecutive_misest <- entry.consecutive_misest + 1;
               entry.last_levels <- Array.copy levels;
-              if entry.consecutive_misest >= t.replan_after then
+              if entry.consecutive_misest >= strikes then
                 entry.poisoned <- true
             end
             else begin

@@ -20,10 +20,11 @@
     answer.
 
     {b Adaptivity.} After each execution the caller feeds the observed
-    per-level cardinalities back ({!feedback}). When the worst-level
-    {!Analysis.Explain.misestimation_factor} exceeds the replan
-    threshold (the P009 value, 16x) on enough consecutive executions (default 2), the
-    entry is poisoned: the next {!lookup} returns {!Replan} carrying
+    per-level cardinalities back ({!feedback}). When
+    {!Tcsq_core.Plan.worst_misestimation} exceeds
+    {!Tcsq_core.Plan.misestimation_threshold} (the P009 value, 16x) on
+    two consecutive executions, the entry is poisoned: the next
+    {!lookup} returns {!Replan} carrying
     {!Tcsq_core.Plan.calibration} factors, and the caller re-plans with
     observed cardinalities substituted for the static estimates. The
     re-planned entry keeps that calibration until the generation
@@ -53,17 +54,10 @@ type counters = {
   replans : int;  (** poisoned entries re-planned from feedback *)
 }
 
-val create :
-  ?capacity:int -> ?replan_threshold:float -> ?replan_after:int -> unit -> t
+val create : ?capacity:int -> unit -> t
 (** [capacity] (default 256) bounds the entry count; [0] degenerates to
     a passthrough (every lookup misses, nothing is stored).
-    [replan_threshold] (default
-    {!Analysis.Explain.misestimation_threshold}, the P009 threshold) is
-    the worst-level symmetric est-vs-actual factor that counts an execution
-    as misestimated; [replan_after] (default 2) is how many
-    {e consecutive} misestimated executions poison an entry.
-    @raise Invalid_argument on negative capacity, a threshold < 1, or
-    [replan_after] < 1. *)
+    @raise Invalid_argument on negative capacity. *)
 
 val capacity : t -> int
 

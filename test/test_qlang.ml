@@ -166,18 +166,43 @@ let test_render_roundtrip () =
     Test_util.random_graph ~seed:77 ~n_vertices:6 ~n_edges:80 ~n_labels:3
       ~domain:40 ~max_len:10 ()
   in
-  let tai = Tcsq_core.Tai.build g in
-  List.iteri
-    (fun i q ->
-      let text = Qlang.render g q in
-      match Qlang.parse_and_compile g text with
-      | Error e -> Alcotest.failf "query %d: %S did not reparse: %s" i text e
-      | Ok q' ->
-          Test_util.check_same_results
-            ~msg:(Printf.sprintf "query %d roundtrip (%s)" i text)
-            (Tcsq_core.Tsrjoin.evaluate tai q)
-            (Tcsq_core.Tsrjoin.evaluate tai q'))
-    (Test_util.query_pool ~n_labels:3 ~window:(Temporal.Interval.make 8 30))
+  (* the same edges 25 ticks earlier, across time 0, plus two at the
+     bottom of the int range *)
+  let early =
+    Tgraph.Graph.of_edge_list ~labels:(Tgraph.Graph.labels g)
+      ((0, 1, 0, min_int, min_int + 2)
+      :: (1, 2, 1, min_int + 1, min_int + 4)
+      :: List.init (Tgraph.Graph.n_edges g) (fun i ->
+             let e = Tgraph.Graph.edge g i in
+             Tgraph.Edge.(src e, dst e, lbl e, ts e - 25, te e - 25)))
+  in
+  List.iter
+    (fun (g, ws, we) ->
+      let window = Temporal.Interval.make ws we in
+      let tai = Tcsq_core.Tai.build g in
+      List.iteri
+        (fun i q ->
+          let text = Qlang.render g q in
+          match Qlang.parse_and_compile g text with
+          | Error e -> Alcotest.failf "query %d: %S did not reparse: %s" i text e
+          | Ok q' ->
+              Alcotest.(check bool)
+                (Printf.sprintf "query %d keeps its window (%s)" i text)
+                true
+                (Temporal.Interval.equal window (Query.window q'));
+              Test_util.check_same_results
+                ~msg:(Printf.sprintf "query %d roundtrip (%s)" i text)
+                (Tcsq_core.Tsrjoin.evaluate tai q)
+                (Tcsq_core.Tsrjoin.evaluate tai q'))
+        (Test_util.query_pool ~n_labels:3 ~window))
+    [
+      (g, 8, 30);
+      (early, -20, -1);
+      (early, -25, 5);
+      (early, min_int, -1);
+      (early, min_int, min_int + 3);
+      (early, min_int + 1, min_int + 2);
+    ]
 
 let prop_render_roundtrip_random =
   QCheck.Test.make ~name:"render/parse roundtrip on random structures"
