@@ -859,6 +859,87 @@ let run_plancache () =
   record ~variant:"cold" ~obs:obs_cold cold;
   record ~variant:"warm" ~obs:obs_warm warm
 
+(* ---------- Response rendering: result frames in-process ---------- *)
+
+(* What the server spends turning matches into a wire frame: the time
+   and minor-heap words of one [Protocol.result_response] call, over a
+   point-size frame (~30 matches, a selective read) and a scan-size one
+   (100 matches, the served match limit). The matches are real Yellow
+   3-chain matches, cycled when the scale yields fewer. *)
+let run_render () =
+  section "Response rendering: result_response per frame (Yellow 3-chain)";
+  let engine = engine_of Tgraph.Dataset.Yellow in
+  let graph = Engine.graph engine in
+  let stats = Run_stats.create () in
+  let pool = ref [] in
+  List.iter
+    (fun q ->
+      Engine.run_ext ~stats engine Engine.Tsrjoin (Equery.plain q)
+        ~emit:(fun m -> pool := m :: !pool))
+    (workload_for engine ~shape:(Pattern.Chain 3) ~window_frac:0.2
+       ~max_results:100_000 ~seed:401);
+  let pool = Array.of_list (List.rev !pool) in
+  if pool = [||] then failwith "render: the workload has no matches";
+  let rounds = 5 in
+  Format.fprintf fmt "%-8s %8s %8s %8s %12s %14s %14s@." "variant" "matches"
+    "bytes" "frames" "us/frame" "minor-words" "major-words";
+  List.iter
+    (fun (variant, n_matches, frames) ->
+      let matches = List.init n_matches (fun i -> pool.(i mod Array.length pool)) in
+      let render () =
+        Tcsq_server.Protocol.result_response ~id:"q1" ~graph ~truncated:None
+          ~count:n_matches ~matches ~stats ~elapsed_ms:0.25 ()
+      in
+      let bytes = String.length (render ()) in
+      for _ = 1 to frames / 10 do
+        ignore (Sys.opaque_identity (render ()))
+      done;
+      (* the median round's time; words repeat exactly across rounds.
+         Blocks past 256 words (a large frame's buffer and string) are
+         allocated in the major heap directly: counted apart, as major
+         words less promoted ones. *)
+      let direct_major () =
+        let s = Gc.quick_stat () in
+        s.Gc.major_words -. s.Gc.promoted_words
+      in
+      let round () =
+        let major0 = direct_major () in
+        let minor0 = Gc.minor_words () in
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to frames do
+          ignore (Sys.opaque_identity (render ()))
+        done;
+        let dt = Unix.gettimeofday () -. t0 in
+        let minor1 = Gc.minor_words () in
+        let major1 = direct_major () in
+        let per w = w /. float_of_int frames in
+        ( dt *. 1e6 /. float_of_int frames,
+          per (minor1 -. minor0),
+          per (major1 -. major0) )
+      in
+      let runs = List.sort compare (List.init rounds (fun _ -> round ())) in
+      let us, words, major = List.nth runs (rounds / 2) in
+      Format.fprintf fmt "%-8s %8d %8d %8d %12.2f %14.0f %14.0f@." variant
+        n_matches bytes frames us words major;
+      if !json_path <> None then
+        json_rows :=
+          Obs.Json.Obj
+            [
+              ("experiment", Obs.Json.String "render");
+              ("dataset", Obs.Json.String "yellow");
+              ("pattern", Obs.Json.String "3-chain");
+              ("variant", Obs.Json.String variant);
+              ("matches", Obs.Json.Int n_matches);
+              ("bytes", Obs.Json.Int bytes);
+              ("frames", Obs.Json.Int frames);
+              ("rounds", Obs.Json.Int rounds);
+              ("us_per_frame", Obs.Json.Fixed (2, us));
+              ("minor_words_per_frame", Obs.Json.Int (Float.to_int words));
+              ("major_words_per_frame", Obs.Json.Int (Float.to_int major));
+            ]
+          :: !json_rows)
+    [ ("point", 30, 1000); ("scan", 100, 300) ]
+
 (* ---------- Bechamel kernel suite ---------- *)
 
 let run_bechamel () =
@@ -938,6 +1019,7 @@ let experiments =
     ("parallel", run_parallel_bench);
     ("plancache", run_plancache);
     ("durable", run_durable);
+    ("render", run_render);
     ("bechamel", run_bechamel);
   ]
 
