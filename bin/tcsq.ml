@@ -335,9 +335,17 @@ let query_cmd =
         Format.printf "%d matches in %.1f ms (%a)@." !total (dt *. 1000.0)
           Semantics.Run_stats.pp stats
     | `Json ->
-        print_endline
-          (Obs.Json.to_string_lines
-             (List.rev_map (Semantics.Match_result.to_json g) !kept))
+        (* one match per line: the wire's array with ",\n " between items *)
+        let buf = Buffer.create 4096 in
+        let write = Semantics.Match_result.json_writer g in
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i mtch ->
+            if i > 0 then Buffer.add_string buf ",\n ";
+            write buf mtch)
+          (List.rev !kept);
+        Buffer.add_char buf ']';
+        print_endline (Buffer.contents buf)
     | `Csv ->
         print_endline Semantics.Match_result.csv_header;
         List.iter
@@ -559,12 +567,35 @@ let compare_cmd =
 
 let topk_cmd =
   let k_arg =
-    Arg.(value & opt int 10 & info [ "k" ] ~docv:"K" ~doc:"How many matches.")
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "k" ] ~docv:"K"
+          ~doc:
+            "How many matches. Without it, the query's own $(b,TOP) count, \
+             or 10. A query whose text says $(b,COUNT), or $(b,TOP) another \
+             count, is refused.")
   in
   let run g q k =
-    if k < 1 then or_die (Error "TOP needs a count >= 1");
+    let q = q g in
+    (* -k and the text name one aggregate; a disagreement is refused, not
+       resolved by letting one silently win *)
+    let k =
+      match (k, Semantics.Equery.agg q) with
+      | Some k, _ when k < 1 -> or_die (Error "TOP needs a count >= 1")
+      | Some k, Some Semantics.Equery.Count ->
+          or_die
+            (Error (Printf.sprintf "-k %d disagrees with the query's COUNT" k))
+      | None, Some Semantics.Equery.Count ->
+          or_die (Error "topk ranks matches, but the query asks for COUNT")
+      | Some k, Some (Semantics.Equery.Top m) when m <> k ->
+          or_die
+            (Error (Printf.sprintf "-k %d disagrees with the query's TOP %d" k m))
+      | Some k, _ | None, Some (Semantics.Equery.Top k) -> k
+      | None, None -> 10
+    in
     (* -k becomes the query's TOP k aggregate, run by the one executor *)
-    let eq = Semantics.Equery.with_agg (q g) (Some (Semantics.Equery.Top k)) in
+    let eq = Semantics.Equery.with_agg q (Some (Semantics.Equery.Top k)) in
     let top = ref [] in
     Workload.Engine.run_ext (Workload.Engine.prepare g) Workload.Engine.Tsrjoin
       eq ~emit:(fun m -> top := m :: !top);

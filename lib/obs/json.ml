@@ -1,8 +1,9 @@
 (* The one JSON value type, printer and parser. Every document tcsq
    writes (wire frames, qlog lines, traces, explain and lint reports,
-   bench records) is a [t] printed by [write]; the printer never emits a
-   newline inside a value, which is what makes one-JSON-per-line
-   framing safe. *)
+   bench records) is a [t] printed by [write], except match-bearing
+   frames, which their encoders write straight into a buffer with
+   [write_string] and [write_int]; the printer never emits a newline
+   inside a value, which is what makes one-JSON-per-line framing safe. *)
 
 type t =
   | Null
@@ -43,10 +44,26 @@ let write_string buf s =
   Buffer.add_substring buf s !from (n - !from);
   Buffer.add_char buf '"'
 
+(* Decimal digits straight into [buf], most significant first: a
+   recursion at most 19 deep, dividing by the constant 10 (a multiply).
+   It runs on the non-positive [-|i|], whose range holds [min_int]'s
+   digits where negating [min_int] would overflow; the remainder of a
+   non-positive value is non-positive, so a digit is [-(n mod 10)]. *)
+let rec write_digits buf n =
+  if n <= -10 then write_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let write_int buf i =
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    write_digits buf i
+  end
+  else write_digits buf (-i)
+
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> write_int buf i
   | Float f -> Buffer.add_string buf (float_to_string f)
   | Fixed (digits, f) -> Printf.bprintf buf "%.*f" digits f
   | Sig (digits, f) -> Printf.bprintf buf "%.*g" digits f
@@ -73,17 +90,6 @@ let rec write buf = function
 let to_string v =
   let buf = Buffer.create 256 in
   write buf v;
-  Buffer.contents buf
-
-let to_string_lines items =
-  let buf = Buffer.create 256 in
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_string buf ",\n ";
-      write buf v)
-    items;
-  Buffer.add_char buf ']';
   Buffer.contents buf
 
 (* ---- parsing ---- *)

@@ -2,11 +2,15 @@
 
     Every JSON document tcsq emits — wire frames, [tcsq-qlog/v1] lines,
     [trace/v1] files, explain and lint reports, [tcsq-bench/v1] records —
-    is built as a {!t} and printed by {!to_string}, so the text format is
-    decided here and nowhere else: [", "] between items, [": "] after
+    is printed in one text format: [", "] between items, [": "] after
     keys, no newline inside a value (one-JSON-per-line framing relies on
-    it). Dependency-free like the rest of [obs], so every layer can use
-    it. *)
+    it). Most are built as a {!t} and printed by {!to_string}. The frames
+    that carry matches (result, subscribe snapshot, delta) are instead
+    written straight into one buffer by [Semantics.Match_result.json_writer]
+    and the server's protocol, through {!write}, {!write_string} and
+    {!write_int}; a property test in [test_server.ml] pins their bytes to
+    {!to_string} of the equivalent tree. Dependency-free like the rest of
+    [obs], so every layer can use it. *)
 
 type t =
   | Null
@@ -28,10 +32,16 @@ type t =
 val to_string : t -> string
 (** The single-line text of a value. *)
 
-val to_string_lines : t list -> string
-(** An array with a line break after each element's comma (["[a,\n b]"]):
-    the layout of [tcsq query --format json]. Joining its lines gives
-    [to_string (List items)]. *)
+val write : Buffer.t -> t -> unit
+(** Appends the single-line text of a value: what {!to_string} returns. *)
+
+val write_string : Buffer.t -> string -> unit
+(** Appends a string literal, quoted and escaped: ['"'], ['\\'] and
+    control characters are escaped, every other byte is copied. *)
+
+val write_int : Buffer.t -> int -> unit
+(** Appends an integer in decimal, byte for byte what [string_of_int]
+    prints, [min_int] included, without allocating. *)
 
 val max_depth : int
 (** Deepest array/object nesting {!parse} accepts; the parser recurses

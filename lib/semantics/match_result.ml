@@ -29,32 +29,50 @@ let pp fmt m =
        (Array.to_list (Array.map (Printf.sprintf "e%d") m.edges)))
     Temporal.Interval.pp m.life
 
-let to_json g m =
-  let module J = Obs.Json in
-  let edge id =
-    let e = Tgraph.Graph.edge g id in
-    J.Obj
-      [
-        ("id", J.Int id);
-        ("src", J.Int (Tgraph.Edge.src e));
-        ("dst", J.Int (Tgraph.Edge.dst e));
-        ( "label",
-          J.String
-            (Tgraph.Label.name (Tgraph.Graph.labels g) (Tgraph.Edge.lbl e)) );
-        ("ts", J.Int (Tgraph.Edge.ts e));
-        ("te", J.Int (Tgraph.Edge.te e));
-      ]
+(* Constant keys are pre-escaped literals. A label's name is escaped on
+   its first use by this writer and kept, together with the keys around
+   it, as the one literal [, "label": <name>, "ts": ]. The cache lives in
+   the writer, not in a global: ingest interns new labels into a shared
+   table, and a writer only meets labels of the graph it was made for. *)
+let json_writer g =
+  let labels = Tgraph.Graph.labels g in
+  let label_lits = Array.make (Tgraph.Label.count labels) "" in
+  let label_lit lbl =
+    let lit = label_lits.(lbl) in
+    if lit <> "" then lit
+    else begin
+      let b = Buffer.create 32 in
+      Buffer.add_string b ", \"label\": ";
+      Obs.Json.write_string b (Tgraph.Label.name labels lbl);
+      Buffer.add_string b ", \"ts\": ";
+      let lit = Buffer.contents b in
+      label_lits.(lbl) <- lit;
+      lit
+    end
   in
-  J.Obj
-    [
-      ("edges", J.List (Array.to_list (Array.map edge m.edges)));
-      ( "lifespan",
-        J.Obj
-          [
-            ("ts", J.Int (Temporal.Interval.ts m.life));
-            ("te", J.Int (Temporal.Interval.te m.life));
-          ] );
-    ]
+  fun buf m ->
+    let int = Obs.Json.write_int in
+    Buffer.add_string buf "{\"edges\": [";
+    for i = 0 to Array.length m.edges - 1 do
+      let id = m.edges.(i) in
+      let e = Tgraph.Graph.edge g id in
+      Buffer.add_string buf (if i = 0 then "{\"id\": " else ", {\"id\": ");
+      int buf id;
+      Buffer.add_string buf ", \"src\": ";
+      int buf (Tgraph.Edge.src e);
+      Buffer.add_string buf ", \"dst\": ";
+      int buf (Tgraph.Edge.dst e);
+      Buffer.add_string buf (label_lit (Tgraph.Edge.lbl e));
+      int buf (Tgraph.Edge.ts e);
+      Buffer.add_string buf ", \"te\": ";
+      int buf (Tgraph.Edge.te e);
+      Buffer.add_char buf '}'
+    done;
+    Buffer.add_string buf "], \"lifespan\": {\"ts\": ";
+    int buf (Temporal.Interval.ts m.life);
+    Buffer.add_string buf ", \"te\": ";
+    int buf (Temporal.Interval.te m.life);
+    Buffer.add_string buf "}}"
 
 let csv_header = "edges,lifespan_ts,lifespan_te"
 

@@ -15,14 +15,18 @@ val collect : ((t -> unit) -> unit) -> t list
 (** [collect run]: the matches [run] hands its emit callback, in the
     order it emits them. Engines stream; this is their list form. *)
 
-val to_json : Tgraph.Graph.t -> t -> Obs.Json.t
-(** The one JSON form of a match, shared by [tcsq query --format json]
-    and the wire protocol: edge bindings resolved against the graph,
-    e.g.
+val json_writer : Tgraph.Graph.t -> Buffer.t -> t -> unit
+(** [json_writer g] is the one JSON encoder of a match, shared by
+    [tcsq query --format json] and the wire protocol's result, subscribe
+    and delta frames: it appends the match's edge bindings, resolved
+    against [g], straight to a buffer, e.g.
     {v
 {"edges": [{"id": 3, "src": 0, "dst": 4, "label": "a", "ts": 13, "te": 15}],
  "lifespan": {"ts": 15, "te": 15}}
-    v} *)
+    v}
+    (on one line). The bytes are those {!Obs.Json.to_string} prints for
+    the same object. Each label name is escaped once per writer, on its
+    first use, so make one writer per frame, not per match. *)
 
 val to_csv : t -> string
 (** Terse CSV row: edge ids separated by [;], then lifespan start/end. *)

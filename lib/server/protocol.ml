@@ -189,8 +189,6 @@ let stats_json (s : Run_stats.t) =
         ("est_levels", int_array (Run_stats.est_levels s));
       ])
 
-let matches_json graph ms = Json.List (List.map (Match_result.to_json graph) ms)
-
 type truncation = Budget | Deadline
 
 let truncation_name = function Budget -> "budget" | Deadline -> "deadline"
@@ -200,21 +198,63 @@ let frame ?id status fields =
   Json.to_string
     (Json.Obj (id_field id @ (("status", Json.String status) :: fields)))
 
+(* Frames that carry matches are written in one pass into one buffer,
+   byte for byte what [frame] would print for the same fields (pinned by
+   test_server's "direct writer = tree printer" property). Keys are
+   pre-escaped literals that include the separator before them; small
+   values go through [Json.write]. The buffer is sized from the match
+   count and dies with the frame. *)
+let frame_buffer lists =
+  let bytes_of ms =
+    match ms with
+    | [] -> 0
+    | m :: _ ->
+        List.length ms * (40 + (96 * Array.length m.Match_result.edges))
+  in
+  Buffer.create (256 + List.fold_left (fun n ms -> n + bytes_of ms) 0 lists)
+
+let open_response buf ?id status =
+  Buffer.add_char buf '{';
+  Option.iter
+    (fun id ->
+      Buffer.add_string buf "\"id\": ";
+      Json.write_string buf id;
+      Buffer.add_string buf ", ")
+    id;
+  Buffer.add_string buf "\"status\": ";
+  Json.write_string buf status
+
+let add_field buf key v =
+  Buffer.add_string buf key;
+  Json.write buf v
+
+let add_matches buf key write ms =
+  Buffer.add_string buf key;
+  Buffer.add_char buf '[';
+  List.iteri
+    (fun i m ->
+      if i > 0 then Buffer.add_string buf ", ";
+      write buf m)
+    ms;
+  Buffer.add_char buf ']'
+
+let close_frame buf =
+  Buffer.add_char buf '}';
+  Buffer.contents buf
+
 let result_response ?id ~graph ~truncated ~count ~matches ~stats ~elapsed_ms ()
     =
-  let status, reason =
-    match truncated with
-    | None -> ("ok", [])
-    | Some tr -> ("truncated", [ ("reason", Json.String (truncation_name tr)) ])
-  in
-  frame ?id status
-    (reason
-    @ [
-        ("count", Json.Int count);
-        ("matches", matches_json graph matches);
-        ("stats", stats_json stats);
-        ("elapsed_ms", Json.Float elapsed_ms);
-      ])
+  let buf = frame_buffer [ matches ] in
+  (match truncated with
+  | None -> open_response buf ?id "ok"
+  | Some tr ->
+      open_response buf ?id "truncated";
+      add_field buf ", \"reason\": " (Json.String (truncation_name tr)));
+  add_field buf ", \"count\": " (Json.Int count);
+  add_matches buf ", \"matches\": " (Match_result.json_writer graph) matches;
+  add_field buf ", \"stats\": " (stats_json stats);
+  add_field buf ", \"elapsed_ms\": " (Json.Float elapsed_ms);
+  close_frame buf
 
 let error_response ?id ~kind ?(diagnostics = []) message =
   frame ?id "error"
@@ -243,13 +283,13 @@ let interval_json iv =
     ]
 
 let subscribe_response ?id ~sub ~graph ~window ~matches () =
-  frame ?id "ok"
-    [
-      ("sub", Json.Int sub);
-      ("window", interval_json window);
-      ("count", Json.Int (List.length matches));
-      ("matches", matches_json graph matches);
-    ]
+  let buf = frame_buffer [ matches ] in
+  open_response buf ?id "ok";
+  add_field buf ", \"sub\": " (Json.Int sub);
+  add_field buf ", \"window\": " (interval_json window);
+  add_field buf ", \"count\": " (Json.Int (List.length matches));
+  add_matches buf ", \"matches\": " (Match_result.json_writer graph) matches;
+  close_frame buf
 
 let unsubscribe_response ?id ~sub ~removed () =
   frame ?id "ok" [ ("sub", Json.Int sub); ("removed", Json.Bool removed) ]
@@ -259,18 +299,18 @@ let unsubscribe_response ?id ~sub ~removed () =
    pipelined client can route deltas without tracking sub numbers. *)
 let delta_notification ?tag ~sub ~generation ~graph ~window ~added ~retracted
     ~total ~elapsed_ms () =
-  Json.to_string
-    (Json.Obj
-       ([ ("notification", Json.String "delta"); ("sub", Json.Int sub) ]
-       @ (match tag with None -> [] | Some t -> [ ("tag", Json.String t) ])
-       @ [
-           ("generation", Json.Int generation);
-           ("window", interval_json window);
-           ("added", matches_json graph added);
-           ("retracted", matches_json graph retracted);
-           ("total", Json.Int total);
-           ("elapsed_ms", Json.Float elapsed_ms);
-         ]))
+  let buf = frame_buffer [ added; retracted ] in
+  let write = Match_result.json_writer graph in
+  add_field buf "{\"notification\": " (Json.String "delta");
+  add_field buf ", \"sub\": " (Json.Int sub);
+  Option.iter (fun t -> add_field buf ", \"tag\": " (Json.String t)) tag;
+  add_field buf ", \"generation\": " (Json.Int generation);
+  add_field buf ", \"window\": " (interval_json window);
+  add_matches buf ", \"added\": " write added;
+  add_matches buf ", \"retracted\": " write retracted;
+  add_field buf ", \"total\": " (Json.Int total);
+  add_field buf ", \"elapsed_ms\": " (Json.Float elapsed_ms);
+  close_frame buf
 
 let pong_response ?id () = frame ?id "ok" [ ("pong", Json.Bool true) ]
 

@@ -73,7 +73,10 @@ let test_json_escaping () =
 let test_json_match () =
   let g = Tgraph.Graph.of_edge_list [ (0, 1, 0, 2, 7) ] in
   let m = Match_result.make [| 0 |] (window 2 7) in
-  let json = Obs.Json.to_string (Match_result.to_json g m) in
+  let write = Match_result.json_writer g in
+  let buf = Buffer.create 64 in
+  write buf m;
+  let json = Buffer.contents buf in
   Alcotest.(check bool) "mentions lifespan" true
     (Option.is_some
        (String.index_opt json 'l'));
@@ -85,11 +88,12 @@ let test_json_match () =
     "{\"edges\": [{\"id\": 0, \"src\": 0, \"dst\": 1, \"label\": \"l0\", \
      \"ts\": 2, \"te\": 7}], \"lifespan\": {\"ts\": 2, \"te\": 7}}"
     json;
-  let mj = Match_result.to_json g m in
-  let arr = Obs.Json.to_string_lines [ mj; mj ] in
-  Alcotest.(check bool) "array form" true (arr.[0] = '[' && arr.[String.length arr - 1] = ']');
-  Alcotest.(check string) "one match per line"
-    (Printf.sprintf "[%s,\n %s]" json json) arr;
+  (match Obs.Json.parse json with
+  | Ok j -> Alcotest.(check string) "parses back" json (Obs.Json.to_string j)
+  | Error msg -> Alcotest.failf "parse %S: %s" json msg);
+  write buf m;
+  Alcotest.(check string) "appends to the buffer" (json ^ json)
+    (Buffer.contents buf);
   Alcotest.(check string) "csv row" "0,2,7" (Match_result.to_csv m)
 
 (* ---------- Runner CSV ---------- *)

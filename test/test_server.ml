@@ -142,6 +142,212 @@ let prop_json_print_fixpoint =
       | Ok v' -> Json.to_string v' = printed
       | Error _ -> false)
 
+let test_write_int () =
+  (* 10^1 .. 10^18; 10^19 is past max_int *)
+  let pow10 = List.init 18 (fun k -> List.fold_left ( * ) 10 (List.init k (fun _ -> 10))) in
+  List.iter
+    (fun i ->
+      let buf = Buffer.create 24 in
+      Json.write_int buf i;
+      Alcotest.(check string) (string_of_int i) (string_of_int i)
+        (Buffer.contents buf))
+    ([ min_int; min_int + 1; max_int; -1; 0; 9; 10 ]
+    @ pow10
+    @ List.map (fun p -> p - 1) pow10
+    @ List.map (fun p -> -p) pow10)
+
+(* The tree path the direct match encoder replaced, kept as the
+   reference: a match as an [Obj] per edge, a frame as an [Obj] with the
+   echoed id, then "status", then its fields. *)
+module Tree = struct
+  let match_json g (m : Match_result.t) =
+    let edge id =
+      let e = Tgraph.Graph.edge g id in
+      Json.Obj
+        [
+          ("id", Json.Int id);
+          ("src", Json.Int (Tgraph.Edge.src e));
+          ("dst", Json.Int (Tgraph.Edge.dst e));
+          ( "label",
+            Json.String
+              (Tgraph.Label.name (Tgraph.Graph.labels g) (Tgraph.Edge.lbl e)) );
+          ("ts", Json.Int (Tgraph.Edge.ts e));
+          ("te", Json.Int (Tgraph.Edge.te e));
+        ]
+    in
+    Json.Obj
+      [
+        ("edges", Json.List (Array.to_list (Array.map edge m.edges)));
+        ( "lifespan",
+          Json.Obj
+            [
+              ("ts", Json.Int (Temporal.Interval.ts m.life));
+              ("te", Json.Int (Temporal.Interval.te m.life));
+            ] );
+      ]
+
+  let matches_json g ms = Json.List (List.map (match_json g) ms)
+
+  let frame ?id status fields =
+    Json.Obj (Protocol.id_field id @ (("status", Json.String status) :: fields))
+
+  let result ?id ~graph ~truncated ~count ~matches ~stats ~elapsed_ms () =
+    let status, reason =
+      match truncated with
+      | None -> ("ok", [])
+      | Some tr ->
+          ( "truncated",
+            [ ("reason", Json.String (Protocol.truncation_name tr)) ] )
+    in
+    frame ?id status
+      (reason
+      @ [
+          ("count", Json.Int count);
+          ("matches", matches_json graph matches);
+          ("stats", Protocol.stats_json stats);
+          ("elapsed_ms", Json.Float elapsed_ms);
+        ])
+
+  let subscribe ?id ~sub ~graph ~window ~matches () =
+    frame ?id "ok"
+      [
+        ("sub", Json.Int sub);
+        ("window", Protocol.interval_json window);
+        ("count", Json.Int (List.length matches));
+        ("matches", matches_json graph matches);
+      ]
+
+  let delta ?tag ~sub ~generation ~graph ~window ~added ~retracted ~total
+      ~elapsed_ms () =
+    Json.Obj
+      ([ ("notification", Json.String "delta"); ("sub", Json.Int sub) ]
+      @ (match tag with None -> [] | Some t -> [ ("tag", Json.String t) ])
+      @ [
+          ("generation", Json.Int generation);
+          ("window", Protocol.interval_json window);
+          ("added", matches_json graph added);
+          ("retracted", matches_json graph retracted);
+          ("total", Json.Int total);
+          ("elapsed_ms", Json.Float elapsed_ms);
+        ])
+end
+
+(* Inputs for the three match-bearing frames: a random graph whose label
+   names are arbitrary bytes (quotes, backslashes, control characters,
+   UTF-8), times at the int range's edges, and 0-120 matches. *)
+type frames_case = {
+  graph : Tgraph.Graph.t;
+  matches : Match_result.t list;
+  id : string option;
+  truncated : Protocol.truncation option;
+  window : Temporal.Interval.t;
+  num : int;  (** count, sub, generation and total *)
+  elapsed_ms : float;
+  stats : Run_stats.t;
+}
+
+let frames_gen =
+  let open QCheck.Gen in
+  let text =
+    string_size
+      ~gen:
+        (frequency
+           [
+             (4, char);
+             (1, oneofl [ '"'; '\\'; '\n'; '\t'; '\000'; '\031'; '\127' ]);
+           ])
+      (int_bound 8)
+    >>= fun s -> bool >|= fun utf8 -> if utf8 then s ^ "\xc3\xa9\xe2\x82\xac" else s
+  in
+  let time =
+    frequency
+      [
+        (3, int);
+        (2, small_signed_int);
+        ( 1,
+          oneofl
+            [ min_int; min_int + 1; min_int + 9; -10; -1; 0; 9; 10;
+              max_int - 1; max_int ] );
+      ]
+  in
+  let interval =
+    map2
+      (fun ts len ->
+        let te = ts + len in
+        (* keep the length [te - ts + 1] inside the int range *)
+        let te = if te < ts || te - ts + 1 <= 0 then ts else te in
+        Temporal.Interval.make ts te)
+      time
+      (oneof [ small_nat; int_bound max_int ])
+  in
+  list_size (int_range 1 6) text >>= fun names ->
+  let labels = Tgraph.Label.of_names (Array.of_list (List.sort_uniq compare names)) in
+  let n_labels = Tgraph.Label.count labels in
+  list_size (int_range 1 30)
+    (quad (int_bound 20) (int_bound 20) (int_bound (n_labels - 1)) interval)
+  >>= fun edges ->
+  let graph =
+    Tgraph.Graph.of_edge_list ~labels
+      (List.map
+         (fun (src, dst, lbl, iv) ->
+           (src, dst, lbl, Temporal.Interval.ts iv, Temporal.Interval.te iv))
+         edges)
+  in
+  let n_edges = Tgraph.Graph.n_edges graph in
+  let match_ =
+    map2
+      (fun ids life -> Match_result.make (Array.of_list ids) life)
+      (list_size (int_range 1 4) (int_bound (n_edges - 1)))
+      interval
+  in
+  list_size (int_bound 120) match_ >>= fun matches ->
+  opt text >>= fun id ->
+  opt (oneofl [ Protocol.Budget; Protocol.Deadline ]) >>= fun truncated ->
+  interval >>= fun window ->
+  time >>= fun num ->
+  float_range 0. 1e6 >>= fun elapsed_ms ->
+  int_bound 1000 >|= fun work ->
+  let stats = Run_stats.create () in
+  Run_stats.add_intermediate stats work;
+  { graph; matches; id; truncated; window; num; elapsed_ms; stats }
+
+let print_frames_case c =
+  Printf.sprintf "labels %s, %d edges, %d matches, id %s"
+    (String.concat "," (List.map (Printf.sprintf "%S")
+       (Array.to_list (Tgraph.Label.names (Tgraph.Graph.labels c.graph)))))
+    (Tgraph.Graph.n_edges c.graph) (List.length c.matches)
+    (match c.id with None -> "-" | Some s -> Printf.sprintf "%S" s)
+
+(* direct writer = tree printer, byte for byte; the frame also parses
+   back to the tree, so a fault shared by both printers still shows *)
+let same_as_tree direct tree =
+  direct = Json.to_string tree && Json.parse direct = Ok tree
+
+let prop_direct_frames =
+  QCheck.Test.make ~name:"direct writer = tree printer, byte for byte"
+    ~count:200
+    (QCheck.make ~print:print_frames_case frames_gen)
+    (fun c ->
+      let { graph; matches; id; truncated; window; num; elapsed_ms; stats } =
+        c
+      in
+      let half = List.length matches / 2 in
+      let added = List.filteri (fun i _ -> i < half) matches in
+      let retracted = List.filteri (fun i _ -> i >= half) matches in
+      same_as_tree
+        (Protocol.result_response ?id ~graph ~truncated ~count:num ~matches
+           ~stats ~elapsed_ms ())
+        (Tree.result ?id ~graph ~truncated ~count:num ~matches ~stats
+           ~elapsed_ms ())
+      && same_as_tree
+           (Protocol.subscribe_response ?id ~sub:num ~graph ~window ~matches ())
+           (Tree.subscribe ?id ~sub:num ~graph ~window ~matches ())
+      && same_as_tree
+           (Protocol.delta_notification ?tag:id ~sub:num ~generation:num ~graph
+              ~window ~added ~retracted ~total:num ~elapsed_ms ())
+           (Tree.delta ?tag:id ~sub:num ~generation:num ~graph ~window ~added
+              ~retracted ~total:num ~elapsed_ms ()))
+
 (* ---- Run_stats deadline unit test (fake clock) ---- *)
 
 let test_deadline_fake_clock () =
@@ -878,6 +1084,8 @@ let () =
           Alcotest.test_case "parse/print roundtrip" `Quick test_json_roundtrip;
           QCheck_alcotest.to_alcotest prop_json_strings;
           QCheck_alcotest.to_alcotest prop_json_print_fixpoint;
+          Alcotest.test_case "write_int = string_of_int" `Quick test_write_int;
+          QCheck_alcotest.to_alcotest prop_direct_frames;
         ] );
       ( "deadline",
         [
