@@ -308,11 +308,16 @@ let query_cmd =
     in
     let shown = ref 0 in
     let total = ref 0 in
+    (* matches past the shown ones that the engine counted instead of
+       enumerating *)
+    let counted = ref 0 in
     let kept = ref [] in
     let t0 = Unix.gettimeofday () in
     let truncated =
       match
-        Workload.Engine.run_ext ~stats ~domains engine m q ~emit:(fun mtch ->
+        Workload.Engine.run_ext ~stats ~domains
+          ~limit:(if count_only then 0 else limit)
+          ~counted engine m q ~emit:(fun mtch ->
             incr total;
             if (not count_only) && !shown < limit then begin
               incr shown;
@@ -325,6 +330,7 @@ let query_cmd =
       | exception Semantics.Run_stats.Limit_exceeded reason -> Some reason
     in
     let dt = Unix.gettimeofday () -. t0 in
+    total := !total + !counted;
     (match format with
     | `Plain ->
         if (not count_only) && !total > !shown then

@@ -104,11 +104,11 @@ let adaptive =
         in
         Match_result.collect (fun emit ->
             Equery.run_with
-              (fun q ~emit ->
+              (fun q ~limit ~emit ->
                 let plan =
                   Tcsq_core.Plan.build_adaptive ~defer_ratio:2.0 tai q
                 in
-                Tcsq_core.Tsrjoin.run ~config ~plan tai q ~emit)
+                Tcsq_core.Tsrjoin.run ~config ~plan ~limit tai q ~emit)
               c.g eq ~emit));
   }
 

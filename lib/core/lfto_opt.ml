@@ -78,7 +78,10 @@ let create_context () =
     candidates = Temporal.Vec.create ();
   }
 
-let ensure_capacity ctx k dummy_edge =
+let dummy_edge =
+  Edge.make ~id:0 ~src:0 ~dst:0 ~lbl:0 (Temporal.Interval.point 0)
+
+let ensure_capacity ctx k =
   if Array.length ctx.cur < k then begin
     ctx.cur <- Array.make k 0;
     ctx.stop <- Array.make k 0;
@@ -133,6 +136,68 @@ let optimize_start_point_into ctx tsrs ~ws =
     loop ws
   end
 
+(* The prologue [run] and [count] share: Algorithm 2's start point
+   (an index lookup, so under [Tai_probe]), then each relation's slice
+   [ctx.cur.(i), ctx.stop.(i)) of the edges starting from that point up
+   to [we] (under [Tsr_slice]). False when the ECIs prove the sweep
+   empty; the slices are then not computed. *)
+let open_slices ~obs ~config ctx tsrs ~ws ~we =
+  let k = Array.length tsrs in
+  let feasible =
+    if config.use_eci then
+      Obs.Sink.span obs Obs.Phase.Tai_probe (fun () ->
+          optimize_start_point_into ctx tsrs ~ws)
+    else begin
+      Array.fill ctx.starts 0 k min_int;
+      true
+    end
+  in
+  feasible
+  && begin
+       let starts = ctx.starts and cur = ctx.cur and stop = ctx.stop in
+       Obs.Sink.span obs Obs.Phase.Tsr_slice (fun () ->
+           for i = 0 to k - 1 do
+             cur.(i) <-
+               (if starts.(i) = min_int then 0
+                else Tsr.lower_bound_start tsrs.(i) starts.(i))
+           done;
+           for i = 0 to k - 1 do
+             stop.(i) <- Tsr.upper_bound_start tsrs.(i) we
+           done);
+       true
+     end
+
+let count ?stats ?(obs = Obs.Sink.null) ~ctx ~config ~tsrs ~ws ~we ~max_count
+    () =
+  if Array.length tsrs <> 1 then
+    invalid_arg "Lfto_opt.count: needs exactly one relation";
+  if we < ws then invalid_arg "Lfto_opt.count: empty valid window";
+  ensure_capacity ctx 1;
+  if not (open_slices ~obs ~config ctx tsrs ~ws ~we) then Some 0
+  else begin
+    (* with one relation the sweep emits every edge of the slice that is
+       still alive at [ws]: the pre-window ones that survive expiry at
+       the window transition, and every in-window start *)
+    let tsr = tsrs.(0) and start = ctx.cur.(0) and stop = ctx.stop.(0) in
+    let n =
+      Obs.Sink.span obs Obs.Phase.Interval_sweep (fun () ->
+          let n = ref 0 in
+          for i = start to stop - 1 do
+            if Edge.te (Tsr.get tsr i) >= ws then incr n
+          done;
+          !n)
+    in
+    if n > max_count then None
+    else begin
+      (match stats with
+      | Some s ->
+          if stop > start then Semantics.Run_stats.add_scanned s (stop - start);
+          if n > 0 then Semantics.Run_stats.add_enum_steps s n
+      | None -> ());
+      Some n
+    end
+  end
+
 let run ?stats ?(obs = Obs.Sink.null) ?trace ?ctx ~config ~tsrs ~ws ~we ~emit
     () =
   let tracing = Option.is_some trace in
@@ -151,32 +216,11 @@ let run ?stats ?(obs = Obs.Sink.null) ?trace ?ctx ~config ~tsrs ~ws ~we ~emit
     | None -> ()
   in
   let ctx = match ctx with Some c -> c | None -> create_context () in
-  ensure_capacity ctx k
-    (Edge.make ~id:0 ~src:0 ~dst:0 ~lbl:0 (Temporal.Interval.point 0));
-  let feasible =
-    if config.use_eci then
-      (* ECI coverage probes are index lookups, kin to the TAI descents *)
-      Obs.Sink.span obs Obs.Phase.Tai_probe (fun () ->
-          optimize_start_point_into ctx tsrs ~ws)
-    else begin
-      Array.fill ctx.starts 0 k min_int;
-      true
-    end
-  in
-  if not feasible then ()
+  ensure_capacity ctx k;
+  if not (open_slices ~obs ~config ctx tsrs ~ws ~we) then ()
   else begin
-      let starts = ctx.starts in
       let cur = ctx.cur in
       let stop = ctx.stop in
-      Obs.Sink.span obs Obs.Phase.Tsr_slice (fun () ->
-          for i = 0 to k - 1 do
-            cur.(i) <-
-              (if starts.(i) = min_int then 0
-               else Tsr.lower_bound_start tsrs.(i) starts.(i))
-          done;
-          for i = 0 to k - 1 do
-            stop.(i) <- Tsr.upper_bound_start tsrs.(i) we
-          done);
       let active = ctx.active in
       let cmp_end a b =
         let c = Int.compare (Edge.te a) (Edge.te b) in

@@ -47,3 +47,26 @@ val run :
   unit ->
   unit
 (** Same contract as {!Lfto.run}. *)
+
+val count :
+  ?stats:Semantics.Run_stats.t ->
+  ?obs:Obs.Sink.t ->
+  ctx:context ->
+  config:config ->
+  tsrs:Tsr.t array ->
+  ws:int ->
+  we:int ->
+  max_count:int ->
+  unit ->
+  int option
+(** The number of combinations {!run} would emit for one relation,
+    without emitting them: [run]'s prologue (the ECI start point when
+    [config.use_eci], then the start-sorted slice up to [we]), then one
+    allocation-free pass counting the slice's edges that end at or after
+    [ws]. It runs under the same [Tai_probe]/[Tsr_slice]/[Interval_sweep]
+    spans as [run]. [Some n] adds to [stats] what [run] would have:
+    [scanned] by the slice length and [enum_steps] by [n]. [None] when
+    [n > max_count], with [stats] untouched, so a caller near a budget
+    can enumerate instead and stop at the same tuple.
+    @raise Invalid_argument unless [tsrs] holds exactly one relation, or
+    when [we < ws]. *)

@@ -43,7 +43,8 @@ let root_key_sets tai pivot (step_edges : Query.edge array) =
          as_src @ as_dst)
 
 let run ?stats ?(obs = Obs.Sink.null) ?(roots = All_roots)
-    ?(config = default_config) ?plan tai q ~emit =
+    ?(config = default_config) ?plan ?(limit = max_int) ?(counted = ref 0) tai
+    q ~emit =
   let min_duration = Query.min_duration q in
   let allen_cs = config.allen in
   List.iter
@@ -103,12 +104,42 @@ let run ?stats ?(obs = Obs.Sink.null) ?(roots = All_roots)
      (mid-emit) while inner steps run their own LFTO, so contexts must
      not be shared across depths; within a depth, calls are sequential *)
   let lfto_ctxs = Array.init n_steps (fun _ -> Lfto_opt.create_context ()) in
+  (* The counted tail. Once [limit] matches were emitted, a last step of
+     one TSR over a plain core (no Allen constraint, no duration floor
+     above one tick) counts its matches instead of enumerating them:
+     every combination it would emit passes the endpoint check (a lone
+     edge binds at most its unbound endpoint), so each one is a match.
+     A count that would cross a budget enumerates instead, so truncation
+     stops at the same tuple. *)
+  let emitted = ref 0 in
+  let last_step = n_steps - 1 in
+  let countable = allen_cs = [] && min_duration <= 1 in
+  let room () =
+    match stats with Some s -> Run_stats.room s | None -> max_int
+  in
   let run_lfto step_i tsrs ~ws ~we ~emit_combo =
     match config.mode with
     | Basic -> Lfto.run ?stats ~obs ~tsrs ~ws ~we ~emit:emit_combo ()
-    | Optimized cfg ->
-        Lfto_opt.run ?stats ~obs ~ctx:lfto_ctxs.(step_i) ~config:cfg ~tsrs ~ws
-          ~we ~emit:emit_combo ()
+    | Optimized cfg -> (
+        let ctx = lfto_ctxs.(step_i) in
+        let tail =
+          if
+            countable && step_i = last_step && !emitted >= limit
+            && Array.length tsrs = 1
+          then
+            Lfto_opt.count ?stats ~obs ~ctx ~config:cfg ~tsrs ~ws ~we
+              ~max_count:(room ()) ()
+          else None
+        in
+        match tail with
+        | Some n ->
+            (match stats with
+            | Some s -> Run_stats.add_level_results s step_i n
+            | None -> ());
+            counted := !counted + n
+        | None ->
+            Lfto_opt.run ?stats ~obs ~ctx ~config:cfg ~tsrs ~ws ~we
+              ~emit:emit_combo ())
   in
   (* TSR of one step edge, with the pivot already bound: fully bound
      when both endpoints are (including self loops), half bound
@@ -123,6 +154,7 @@ let run ?stats ?(obs = Obs.Sink.null) ?(roots = All_roots)
   let rec exec step_i life valid =
     if step_i = n_steps then begin
       tick_result ();
+      incr emitted;
       emit (Match_result.make (Array.copy assignment) life)
     end
     else begin

@@ -49,6 +49,8 @@ val run :
   ?roots:roots ->
   ?config:config ->
   ?plan:Plan.t ->
+  ?limit:int ->
+  ?counted:int ref ->
   Tai.t ->
   Semantics.Query.t ->
   emit:(Semantics.Match_result.t -> unit) ->
@@ -59,7 +61,23 @@ val run :
     (see {!roots}); complete matches partition over root bindings, so
     any partition of the root set yields a partition of the matches.
     Raises {!Semantics.Run_stats.Limit_exceeded} when the stats budget
-    runs out. *)
+    runs out.
+
+    [limit] (default [max_int]: enumerate everything) is how many
+    matches the caller wants to see. Matches stream as without it until
+    [limit] have been emitted; after that, each call of the last plan
+    step that meets the rule below counts its matches with
+    {!Lfto_opt.count} and adds them to [counted] instead of emitting
+    them. [emit] may still see more than [limit] matches (a call
+    already under way finishes, and steps outside the rule enumerate);
+    the answer's size is always the number of [emit] calls plus what
+    was added to [counted], which holds the count so far also when the
+    run raises. The rule: the step is the last, has one TSR, [mode] is
+    [Optimized], [allen] is empty and the query's duration floor is at
+    most 1. [stats] end up exactly as enumeration leaves them, levels
+    included; a count that would cross a budget
+    ({!Semantics.Run_stats.room}) enumerates instead, so a truncated
+    run stops at the same tuple as it would without [limit]. *)
 
 val evaluate :
   ?stats:Semantics.Run_stats.t ->

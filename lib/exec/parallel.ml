@@ -47,7 +47,8 @@ let shared_pool ~at_least =
 
 (* Streaming: each worker buffers its matches and flushes them under one
    mutex, so the caller's [emit] is never entered concurrently. *)
-let exec_core ~pool ~domains ~chunk ~stats ~obs ~config ~plan tai q ~emit =
+let exec_core ~pool ~domains ~chunk ~stats ~obs ~config ~plan ~limit ~counted
+    tai q ~emit =
   let candidates = Tsrjoin.root_candidates ?stats ~obs ~plan tai q in
   let n = Array.length candidates in
   let limits =
@@ -63,6 +64,11 @@ let exec_core ~pool ~domains ~chunk ~stats ~obs ~config ~plan tai q ~emit =
         d)
   in
   let dobs = Array.init domains (fun _ -> Obs.Sink.child obs) in
+  (* each worker counts its own tail past [limit], into its own cell.
+     Under a budget every match must pass the shared gates below, so
+     then the workers enumerate. *)
+  let limit = if limits = Run_stats.no_limits then limit else max_int in
+  let dcounted = Array.init domains (fun _ -> ref 0) in
   let stop = Atomic.make false in
   let first_err = ref None in
   let err_mutex = Mutex.create () in
@@ -141,7 +147,8 @@ let exec_core ~pool ~domains ~chunk ~stats ~obs ~config ~plan tai q ~emit =
     Run_stats.set_on_check ds (Some (make_check ds));
     let claim () = if Atomic.get stop then None else claim_chunk () in
     (match
-       Tsrjoin.run ~stats:ds ~obs:dobs.(w) ?config ~plan
+       Tsrjoin.run ~stats:ds ~obs:dobs.(w) ?config ~plan ~limit
+         ~counted:dcounted.(w)
          ~roots:(Tsrjoin.Root_chunks { candidates; claim })
          tai q
          ~emit:(fun m ->
@@ -188,13 +195,14 @@ let exec_core ~pool ~domains ~chunk ~stats ~obs ~config ~plan tai q ~emit =
   | Some s -> Array.iter (fun d -> Run_stats.merge_into s d) dstats
   | None -> ());
   Array.iter (fun d -> Obs.Sink.merge_into obs d) dobs;
+  Array.iter (fun c -> counted := !counted + !c) dcounted;
   match !first_err with Some e -> raise e | None -> ()
 
 (* A plan whose first step is not a leapfrog (or a single-domain call)
    runs sequentially on the caller; parallel machinery engages only
    when it can actually partition roots. *)
-let run ?pool ?domains ?chunk ?stats ?(obs = Obs.Sink.null) ?config ?plan tai q
-    ~emit =
+let run ?pool ?domains ?chunk ?stats ?(obs = Obs.Sink.null) ?config ?plan
+    ?(limit = max_int) ?(counted = ref 0) tai q ~emit =
   let domains =
     match domains with
     | Some d ->
@@ -209,5 +217,6 @@ let run ?pool ?domains ?chunk ?stats ?(obs = Obs.Sink.null) ?config ?plan tai q
     let pool =
       match pool with Some p -> p | None -> shared_pool ~at_least:(domains - 1)
     in
-    exec_core ~pool ~domains ~chunk ~stats ~obs ~config ~plan tai q ~emit
-  else Tsrjoin.run ?stats ~obs ?config ~plan tai q ~emit
+    exec_core ~pool ~domains ~chunk ~stats ~obs ~config ~plan ~limit ~counted
+      tai q ~emit
+  else Tsrjoin.run ?stats ~obs ?config ~plan ~limit ~counted tai q ~emit

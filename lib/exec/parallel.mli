@@ -40,6 +40,8 @@ val run :
   ?obs:Obs.Sink.t ->
   ?config:Tcsq_core.Tsrjoin.config ->
   ?plan:Tcsq_core.Plan.t ->
+  ?limit:int ->
+  ?counted:int ref ->
   Tcsq_core.Tai.t ->
   Semantics.Query.t ->
   emit:(Semantics.Match_result.t -> unit) ->
@@ -53,7 +55,15 @@ val run :
     step is not a leapfrog, this is exactly [Tsrjoin.run]. Raises
     [Run_stats.Limit_exceeded] / [Deadline_exceeded] like the
     sequential engine; the caller's stats then hold the merged counts
-    of the work actually done. *)
+    of the work actually done.
+
+    [limit] and [counted] are {!Tcsq_core.Tsrjoin.run}'s, applied by
+    each worker to its own matches: a worker counts its tail once it
+    has emitted [limit] matches itself, and the workers' counts are
+    added to [counted] before the run returns or raises. Under a
+    [max_results] or [max_intermediate] budget the workers enumerate
+    every match, since the shared result gate and intermediate total
+    see only enumerated tuples. *)
 
 val shared_pool : at_least:int -> Pool.t
 (** The process-wide helper pool, grown (by drain-and-replace) to hold

@@ -18,9 +18,19 @@ type t =
 
 (* ---- printing ---- *)
 
+(* the shortest of 15, 16 and 17 significant digits that reads back as
+   the same float, so 0.1332 prints as 0.1332, not 0.13320000000000001 *)
 let float_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.17g" f
+  else
+    let exact digits =
+      let s = Printf.sprintf "%.*g" digits f in
+      if float_of_string s = f then Some s else None
+    in
+    match exact 15 with
+    | Some s -> s
+    | None -> (
+        match exact 16 with Some s -> s | None -> Printf.sprintf "%.17g" f)
 
 (* escapes straight into [buf], copying runs of plain bytes whole *)
 let write_string buf s =

@@ -17,8 +17,9 @@ type t =
   | Bool of bool
   | Int of int
   | Float of float
-      (** Integral values below 1e15 print as ["%.1f"], others as
-          ["%.17g"]; parses back to the same float. *)
+      (** Integral values below 1e15 print as ["%.1f"], others with
+          the fewest of 15, 16 or 17 significant digits (["%.*g"]) that
+          parse back to the same float. *)
   | Fixed of int * float
       (** [Fixed (d, f)] prints [f] with [d] decimals (["%.*f"]): the
           fixed-precision fields of qlog, traces and bench records. *)

@@ -227,8 +227,11 @@ let select eq ms =
       finish ())
 
 (* [finish] runs only once [run] returns: a run cut short by an
-   exception emits no TOP k selection *)
-let run_with run g eq ~emit =
+   exception emits no TOP k selection. A core match is one answer only
+   without decorations (else it is cut into pieces) and without TOP k
+   (which must see every match), so only then may [run] stop
+   enumerating past [limit]. *)
+let run_with run g ?(limit = max_int) eq ~emit =
   let offer, finish = aggregate eq ~emit in
   let on_match =
     if has_decorations eq then
@@ -236,5 +239,10 @@ let run_with run g eq ~emit =
       fun m -> List.iter offer (decorate p m)
     else offer
   in
-  run eq.core ~emit:on_match;
+  let limit =
+    match eq.agg with
+    | Some (Top _) -> max_int
+    | Some Count | None -> if has_decorations eq then max_int else limit
+  in
+  run eq.core ~limit ~emit:on_match;
   finish ()

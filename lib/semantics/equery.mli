@@ -96,8 +96,9 @@ val select : t -> Match_result.t list -> Match_result.t list
     aggregate pass through. *)
 
 val run_with :
-  (Query.t -> emit:(Match_result.t -> unit) -> unit) ->
+  (Query.t -> limit:int -> emit:(Match_result.t -> unit) -> unit) ->
   Tgraph.Graph.t ->
+  ?limit:int ->
   t ->
   emit:(Match_result.t -> unit) ->
   unit
@@ -106,4 +107,12 @@ val run_with :
     to [emit] or, under [TOP k], to a {!Match_result.Top_k} drained into
     [emit] once [run] returns (so nothing is emitted if it raises).
     Without decorations or aggregate, [emit] goes to [run] unchanged.
-    [run] must call its [emit] from one thread at a time. *)
+    [run] must call its [emit] from one thread at a time.
+
+    [run] receives [limit] (default [max_int]) when the core's matches
+    are the answers themselves: no anti/semi clause, no Allen
+    constraint, no [TOP k] ([COUNT] is presentation only). Otherwise it
+    receives [max_int], since every match must reach the pieces or the
+    selection. A [run] given [limit] may count the matches past it
+    instead of emitting them ({!Tcsq_core.Tsrjoin.run}'s counted tail);
+    the caller collects that count. *)

@@ -103,6 +103,28 @@ let tick_scanned s =
   touch s;
   s.scanned <- s.scanned + 1
 
+let add_scanned s n =
+  touch s;
+  s.scanned <- s.scanned + n
+
+let room s =
+  min
+    (s.limits.max_results - s.results)
+    (s.limits.max_intermediate - s.intermediate)
+
+(* what [n] rounds of [tick_level_intermediate] then [tick_result] leave,
+   in one update; nothing for [n = 0], which ticks no level either *)
+let add_level_results s level n =
+  if n > 0 then begin
+    add_intermediate s n;
+    if level >= Array.length s.level_intermediate then
+      s.level_intermediate <- grown s.level_intermediate level;
+    s.level_intermediate.(level) <- s.level_intermediate.(level) + n;
+    s.results <- s.results + n;
+    if s.results > s.limits.max_results then
+      raise (Limit_exceeded "result budget exhausted")
+  end
+
 let tick_binding s =
   touch s;
   s.bindings <- s.bindings + 1

@@ -81,6 +81,7 @@ val tick_result : t -> unit
 val tick_intermediate : t -> unit
 val add_intermediate : t -> int -> unit
 val tick_scanned : t -> unit
+val add_scanned : t -> int -> unit
 val tick_binding : t -> unit
 val add_enum_steps : t -> int -> unit
 
@@ -96,6 +97,20 @@ val tick_level_intermediate : t -> int -> unit
     machinery as {!tick_intermediate} — exactly once, so
     [intermediate = sum of level_intermediate] whenever every
     intermediate tick is levelled. *)
+
+val add_level_results : t -> int -> int -> unit
+(** [add_level_results s level n] records [n] complete matches produced
+    at the last plan level [level] by counting rather than enumerating
+    them: [intermediate], [level_intermediate.(level)] and [results]
+    each grow by [n], exactly as [n] rounds of
+    {!tick_level_intermediate} then {!tick_result} would. [n = 0] records
+    nothing. Budgets are checked once, after adding: a caller that must
+    stop at the same tuple as enumeration first compares [n] with
+    {!room}. *)
+
+val room : t -> int
+(** How many more results and intermediate tuples both budgets admit:
+    [min (max_results - results) (max_intermediate - intermediate)]. *)
 
 val add_est_intermediate : t -> int -> unit
 (** Record a static intermediate-cardinality estimate. A prediction, not

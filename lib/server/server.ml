@@ -282,6 +282,9 @@ let execute t engine send ~obs ~fingerprint (qr : Protocol.query_request) eq
   let kept = ref [] in
   let n_kept = ref 0 in
   let total = ref 0 in
+  (* matches past the shipped ones are counted, not enumerated, where the
+     engine can: the answer's count is [total + counted] *)
+  let counted = ref 0 in
   let emit m =
     incr total;
     if (not count_only) && !n_kept < limit then begin
@@ -304,8 +307,9 @@ let execute t engine send ~obs ~fingerprint (qr : Protocol.query_request) eq
       match
         Obs.Sink.span obs Obs.Phase.Execute (fun () ->
             Workload.Engine.run_ext ~stats ~obs ~pool:t.pool ~domains:fanout
-              ?plan_cache:t.plan_cache ~plan_source engine
-              qr.Protocol.method_ eq ~emit)
+              ?plan_cache:t.plan_cache ~plan_source
+              ~limit:(if count_only then 0 else limit)
+              ~counted engine qr.Protocol.method_ eq ~emit)
       with
       | () -> Ok None
       | exception Run_stats.Limit_exceeded _ -> Ok (Some Protocol.Budget)
@@ -340,8 +344,8 @@ let execute t engine send ~obs ~fingerprint (qr : Protocol.query_request) eq
           send
             (Protocol.result_response ?id:qr.Protocol.id
                ~graph:(Workload.Engine.graph engine)
-               ~truncated ~count:!total ~matches:(List.rev !kept) ~stats
-               ~elapsed_ms:(elapsed *. 1000.0) ()))
+               ~truncated ~count:(!total + !counted) ~matches:(List.rev !kept)
+               ~stats ~elapsed_ms:(elapsed *. 1000.0) ()))
   | Error msg ->
       Metrics.record_internal_error t.metrics;
       qlog_common Obs.Qlog.Internal_error;

@@ -188,7 +188,7 @@ let with_tsrjoin_plan ?plan_cache ?plan_source ?stats ~obs t q exec =
   result
 
 let run ?stats ?(obs = Obs.Sink.null) ?tsrjoin_config ?pool ?(domains = 1)
-    ?plan_cache ?plan_source t method_ q ~emit =
+    ?plan_cache ?plan_source ~limit ?counted t method_ q ~emit =
   Obs.Sink.span obs Obs.Phase.Run @@ fun () ->
   match method_ with
   | Tsrjoin ->
@@ -196,12 +196,12 @@ let run ?stats ?(obs = Obs.Sink.null) ?tsrjoin_config ?pool ?(domains = 1)
         (fun ~plan ~stats ->
           if domains <= 1 then
             Tcsq_core.Tsrjoin.run ?stats ~obs ?config:tsrjoin_config ~plan
-              (tai t) q ~emit
+              ~limit ?counted (tai t) q ~emit
           else
             (* multicore is TSRJoin-only: root-binding independence is what
                makes the fan-out sound; the baselines stay single-domain *)
             Exec.Parallel.run ?pool ~domains ?stats ~obs ?config:tsrjoin_config
-              ~plan (tai t) q ~emit)
+              ~plan ~limit ?counted (tai t) q ~emit)
   | Binary -> Relops.Binary.run ?stats (slot_force t.adjacency) q ~emit
   | Hybrid -> Relops.Hybrid.run ?stats (slot_force t.adjacency) q ~emit
   | Time -> Relops.Time_pipeline.run ?stats (slot_force t.sti_index) q ~emit
@@ -231,19 +231,19 @@ let tighten_ext t eq =
   Semantics.Equery.with_window eq (Semantics.Query.window q)
 
 let run_ext ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache
-    ?plan_source t method_ eq ~emit =
+    ?plan_source ?limit ?counted t method_ eq ~emit =
   let tsrjoin_config = ext_config tsrjoin_config eq in
   (* parallel [run] serializes [emit], so the TOP k heap needs no lock *)
   Semantics.Equery.run_with
-    (fun q ~emit ->
+    (fun q ~limit ~emit ->
       run ?stats ?obs ?tsrjoin_config ?pool ?domains ?plan_cache ?plan_source
-        t method_ q ~emit)
-    t.graph eq ~emit
+        ~limit ?counted t method_ q ~emit)
+    t.graph ?limit eq ~emit
 
 let count ?stats ?domains t method_ q =
   let n = ref 0 in
-  run_ext ?stats ?domains t method_ (Semantics.Equery.plain q) ~emit:(fun _ ->
-      incr n);
+  run_ext ?stats ?domains ~limit:0 ~counted:n t method_
+    (Semantics.Equery.plain q) ~emit:(fun _ -> incr n);
   !n
 
 let index_size_words t = function

@@ -62,6 +62,8 @@ val run_ext :
   ?domains:int ->
   ?plan_cache:Plan_cache.t ->
   ?plan_source:Plan_cache.source option ref ->
+  ?limit:int ->
+  ?counted:int ref ->
   t ->
   method_ ->
   Semantics.Equery.t ->
@@ -107,7 +109,19 @@ val run_ext :
     Cached plans are validated against the incoming query, so results
     are identical with and without a cache — only speed changes.
     [plan_source] (when given) is set to where this query's plan came
-    from. *)
+    from.
+
+    [limit] (default [max_int]) is how many answers the caller will
+    look at. Answers stream into [emit] until [limit] have been emitted;
+    past that, {!Tsrjoin} may count instead of enumerating (the counted
+    tail of {!Tcsq_core.Tsrjoin.run}: a last plan step of one TSR under
+    the [Optimized] config, for a query without anti/semi clauses,
+    Allen constraints, [LASTING] or [TOP k]) and adds that count to
+    [counted]. The answer's size is the number of [emit] calls plus
+    what was added to [counted], also when the run raises; [stats] are
+    those of full enumeration. The other methods always enumerate. With
+    [domains > 1] each worker applies [limit] to itself, and only when
+    [stats] carry no budget. *)
 
 val count :
   ?stats:Semantics.Run_stats.t ->
@@ -116,7 +130,9 @@ val count :
   method_ ->
   Semantics.Query.t ->
   int
-(** The number of matches {!run_ext} emits for the plain query. *)
+(** The number of matches of the plain query: {!run_ext} at [limit] 0,
+    so {!Tsrjoin} counts the tail it can count and [stats] read as for
+    full enumeration. *)
 
 val index_size_words : t -> method_ -> int
 (** Table IV: TSRJOIN = TAI (three sorted edge copies, tries, ECIs);

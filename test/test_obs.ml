@@ -32,7 +32,52 @@ let test_traced_equals_untraced () =
                  (Workload.Engine.method_name m) qi)
             untraced traced)
         queries)
-    Workload.Engine.all_methods
+    Workload.Engine.all_methods;
+  (* a limit-100 run past which TSRJoin counts the last level: traced
+     and untraced, it ships the same matches, counts the same tail and
+     ticks the same counters, and the counted calls open the same TAI
+     probe, slice and sweep spans as enumerating ones *)
+  let g =
+    Test_util.random_graph ~seed:43 ~n_vertices:6 ~n_edges:400 ~n_labels:3
+      ~domain:40 ~max_len:10 ()
+  in
+  let engine = Workload.Engine.prepare g in
+  let q =
+    Query.make ~n_vars:4
+      ~edges:
+        [
+          (Query.any_label, 0, 1); (Query.any_label, 1, 2); (Query.any_label, 2, 3);
+        ]
+      ~window:(window 8 30)
+  in
+  let run ?obs limit =
+    let stats = Run_stats.create () in
+    let counted = ref 0 in
+    let ms =
+      Match_result.collect (fun emit ->
+          Workload.Engine.run_ext ?obs ~stats ~limit ~counted engine
+            Workload.Engine.Tsrjoin (Equery.plain q) ~emit)
+    in
+    (ms, !counted, Run_stats.counters stats, Run_stats.levels stats)
+  in
+  let untraced = run 100 in
+  let obs = live_sink () in
+  let traced = run ~obs 100 in
+  let ms, counted, _, _ = untraced in
+  Alcotest.(check bool)
+    (Printf.sprintf "tail counted past 100 (%d shipped, %d counted)"
+       (List.length ms) counted)
+    true (counted > 0);
+  Alcotest.(check bool) "traced = untraced at limit 100" true (traced = untraced);
+  let enumerating = live_sink () in
+  ignore (run ~obs:enumerating max_int);
+  List.iter
+    (fun phase ->
+      Alcotest.(check int)
+        (Obs.Phase.name phase ^ " spans, counted vs enumerated")
+        (Obs.Sink.count enumerating phase)
+        (Obs.Sink.count obs phase))
+    Obs.Phase.[ Tai_probe; Tsr_slice; Interval_sweep ]
 
 let stats_fields s =
   Run_stats.

@@ -227,7 +227,21 @@ let test_engine_domains () =
       same_sorted "engine run_ext" expected
         (Test_util.run ~domains:3 engine Workload.Engine.Tsrjoin q);
       Alcotest.(check int) "engine count" (List.length expected)
-        (Workload.Engine.count ~domains:3 engine Workload.Engine.Tsrjoin q))
+        (Workload.Engine.count ~domains:3 engine Workload.Engine.Tsrjoin q);
+      (* the workers' counted tails report enumeration's counters *)
+      let stats_of run =
+        let stats = Run_stats.create () in
+        run stats;
+        (Run_stats.counters stats, Run_stats.levels stats)
+      in
+      Alcotest.(check bool) "engine count stats" true
+        (stats_of (fun stats ->
+             Workload.Engine.run_ext ~stats engine Workload.Engine.Tsrjoin
+               (Equery.plain q) ~emit:ignore)
+        = stats_of (fun stats ->
+              ignore
+                (Workload.Engine.count ~stats ~domains:3 engine
+                   Workload.Engine.Tsrjoin q))))
     (Test_util.query_pool ~n_labels:3 ~window:(window 8 40))
 
 (* ---- pool ------------------------------------------------------- *)

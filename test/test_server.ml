@@ -29,7 +29,8 @@ let fresh_socket_path =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "tcsq-test-%d-%d.sock" (Unix.getpid ()) !n)
 
-let with_server ?(workers = 2) ?(queue_depth = 16) ?default_deadline_ms g f =
+let with_server ?(workers = 2) ?(queue_depth = 16) ?default_deadline_ms
+    ?(plan_cache_size = 256) g f =
   let engine = Workload.Engine.prepare g in
   let socket_path = fresh_socket_path () in
   let config =
@@ -38,6 +39,7 @@ let with_server ?(workers = 2) ?(queue_depth = 16) ?default_deadline_ms g f =
       Server.workers;
       queue_depth;
       default_deadline_ms;
+      plan_cache_size;
     }
   in
   let srv = Server.start config engine in
@@ -141,6 +143,29 @@ let prop_json_print_fixpoint =
       match Json.parse printed with
       | Ok v' -> Json.to_string v' = printed
       | Error _ -> false)
+
+(* every finite float, drawn from its bit pattern, reads back from its
+   printed text as the same bits *)
+let prop_float_roundtrip =
+  QCheck.Test.make ~name:"float print, parse is the identity" ~count:2000
+    (QCheck.make
+       ~print:(fun f -> Printf.sprintf "%h" f)
+       QCheck.Gen.(map Int64.float_of_bits ui64))
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      let printed = Json.to_string (Json.Float f) in
+      let same f' = Int64.bits_of_float f' = Int64.bits_of_float f in
+      match Json.parse printed with
+      | Ok (Json.Float f') -> same f'
+      | Ok (Json.Int i) -> same (float_of_int i)
+      | Ok _ | Error _ -> false)
+
+let test_float_shortest () =
+  List.iter
+    (fun (f, text) ->
+      Alcotest.(check string) text text (Json.to_string (Json.Float f)))
+    [ (0.1332, "0.1332"); (0.1, "0.1"); (2.5, "2.5"); (1e20, "1e+20");
+      (0.1 +. 0.2, "0.30000000000000004"); (-0.0, "-0.0"); (3.0, "3.0") ]
 
 let test_write_int () =
   (* 10^1 .. 10^18; 10^19 is past max_int *)
@@ -857,7 +882,72 @@ let test_match_limit () =
             "count reports the full cardinality" (Some total) r.Protocol.count;
           Alcotest.(check int)
             "matches capped at the limit" 3
-            (List.length r.Protocol.matches)))
+            (List.length r.Protocol.matches)));
+  (* Past the limit the engine counts the last level instead of
+     enumerating it. Each answer must equal a single-domain enumerating
+     run of the same (tightened) query under the same budget: its count,
+     its stats object, and the first [limit] matches of its stream.
+     Without a plan cache every request plans afresh, as that run does. *)
+  with_server ~plan_cache_size:0 g (fun _srv engine path ->
+      let client = Client.connect path in
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () ->
+          let chain = "MATCH (x)-[*]->(y)-[*]->(z)-[*]->(w) IN [0, 40]" in
+          let enumerate ?(max_results = 100_000) text =
+            let eq =
+              match Qlang.parse_and_compile_ext g text with
+              | Ok eq -> Workload.Engine.tighten_ext engine eq
+              | Error msg -> Alcotest.failf "compile: %s" msg
+            in
+            let stats =
+              Run_stats.create
+                ~limits:
+                  {
+                    Workload.Runner.default_limits with
+                    Run_stats.max_results;
+                  }
+                ()
+            in
+            let ms = ref [] in
+            (try
+               Workload.Engine.run_ext ~stats engine Workload.Engine.Tsrjoin eq
+                 ~emit:(fun m -> ms := m :: !ms)
+             with Run_stats.Limit_exceeded _ -> ());
+            (List.rev !ms, stats, eq)
+          in
+          let all, _, eq = enumerate chain in
+          let counted = ref 0 in
+          Workload.Engine.run_ext ~limit:3 ~counted engine
+            Workload.Engine.Tsrjoin eq ~emit:ignore;
+          Alcotest.(check bool)
+            (Printf.sprintf "the chain counts a tail (%d matches)"
+               (List.length all))
+            true (!counted > 0);
+          let check name ?max_results ?count_only ?(ships = true) ~status text
+              =
+            let ms, stats, _ = enumerate ?max_results text in
+            let r = ok_query ~limit:3 ?count_only ?max_results client text in
+            Alcotest.(check string) (name ^ ": status") status r.Protocol.status;
+            Alcotest.(check (option int))
+              (name ^ ": count") (Some (List.length ms)) r.Protocol.count;
+            Alcotest.(check (option string))
+              (name ^ ": stats")
+              (Some (Json.to_string (Protocol.stats_json stats)))
+              (Option.map Json.to_string (Json.member "stats" r.Protocol.json));
+            let shipped = if ships then List.filteri (fun i _ -> i < 3) ms else [] in
+            Alcotest.(check (list string))
+              (name ^ ": shipped matches")
+              (List.map Match_result.to_csv shipped)
+              (List.map Match_result.to_csv r.Protocol.matches)
+          in
+          check "3-chain past its limit" ~status:"ok" chain;
+          check "COUNT query" ~ships:false ~status:"ok" (chain ^ " COUNT");
+          check "count_only request" ~count_only:true ~ships:false ~status:"ok"
+            chain;
+          check "budget-truncated request"
+            ~max_results:(List.length all / 2)
+            ~status:"truncated" chain))
 
 (* ---- Prometheus exposition-format conformance ----
 
@@ -1084,6 +1174,8 @@ let () =
           Alcotest.test_case "parse/print roundtrip" `Quick test_json_roundtrip;
           QCheck_alcotest.to_alcotest prop_json_strings;
           QCheck_alcotest.to_alcotest prop_json_print_fixpoint;
+          QCheck_alcotest.to_alcotest prop_float_roundtrip;
+          Alcotest.test_case "floats print shortest" `Quick test_float_shortest;
           Alcotest.test_case "write_int = string_of_int" `Quick test_write_int;
           QCheck_alcotest.to_alcotest prop_direct_frames;
         ] );

@@ -269,6 +269,133 @@ let prop_engine_window_sweep =
         (Match_result.Result_set.of_list (Naive.evaluate g q))
         (Match_result.Result_set.of_list (Tsrjoin.evaluate tai q)))
 
+(* ---------- counted tail = enumerated tail ---------- *)
+
+(* A graph whose sources and targets are skewed towards vertex 0 (cubed
+   uniform draws), with self loops, shared start times and a few
+   intervals far longer than the rest. *)
+let skewed_graph rs =
+  let n_vertices = 2 + Random.State.int rs 6 in
+  let vertex () =
+    let u = Random.State.float rs 1.0 in
+    min (n_vertices - 1) (int_of_float (float_of_int n_vertices *. u *. u *. u))
+  in
+  let edge _ =
+    let src = vertex () in
+    let dst = if Random.State.int rs 8 = 0 then src else vertex () in
+    let ts = 2 * Random.State.int rs 15 in
+    let len =
+      if Random.State.int rs 10 = 0 then Random.State.int rs 30
+      else Random.State.int rs 5
+    in
+    (src, dst, Random.State.int rs 3, ts, ts + len)
+  in
+  Tgraph.Graph.of_edge_list (List.init (10 + Random.State.int rs 60) edge)
+
+let shuffle rs l =
+  List.map (fun x -> (Random.State.bits rs, x)) l
+  |> List.sort compare |> List.map snd
+
+(* one run: its matches in emission order, the matches counted instead,
+   the exception it ended with and its stats *)
+let run_counted ~config ~plan ~limits ~limit tai q =
+  let stats = Run_stats.create ~limits () in
+  let counted = ref 0 in
+  let emitted = ref [] in
+  let ended =
+    match
+      Tsrjoin.run ~stats ~config ~plan ~limit ~counted tai q ~emit:(fun m ->
+          emitted := m :: !emitted)
+    with
+    | () -> None
+    | exception Run_stats.Limit_exceeded why -> Some why
+  in
+  (List.rev !emitted, !counted, ended, stats)
+
+let rec take n = function
+  | x :: rest when n > 0 -> x :: take (n - 1) rest
+  | _ -> []
+
+let prop_counted_tail =
+  QCheck.Test.make ~name:"counted tail = enumerated tail" ~count:1000
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let g = skewed_graph rs in
+      let tai = Tai.build g in
+      let ws = Random.State.int rs 30 in
+      let q =
+        Testkit.random_query ~seed ~n_labels:3 ~max_edges:4
+          ~window:(window ws (ws + Random.State.int rs 30))
+      in
+      let q =
+        if Random.State.int rs 6 = 0 then
+          Query.with_min_duration q (2 + Random.State.int rs 3)
+        else q
+      in
+      let plan =
+        Plan.of_pivot_order q (shuffle rs (List.init (Query.n_vars q) Fun.id))
+      in
+      let config =
+        match Random.State.int rs 6 with
+        | 0 -> Tsrjoin.basic_config
+        | 1 ->
+            let flag () = Random.State.bool rs in
+            {
+              Tsrjoin.default_config with
+              mode =
+                Tsrjoin.Optimized
+                  {
+                    Lfto_opt.use_eci = flag ();
+                    use_del_skip = flag ();
+                    use_lazy = flag ();
+                  };
+            }
+        | _ -> Tsrjoin.default_config
+      in
+      let budget () =
+        if Random.State.bool rs then max_int else Random.State.int rs 60
+      in
+      let limits =
+        if Random.State.bool rs then Run_stats.no_limits
+        else { Run_stats.max_results = budget (); max_intermediate = budget () }
+      in
+      let limit =
+        match Random.State.int rs 7 with
+        | 0 | 1 -> 0
+        | 2 | 3 -> 1
+        | 4 | 5 -> Random.State.int rs 20
+        | _ -> max_int
+      in
+      let full, full_counted, full_end, full_stats =
+        run_counted ~config ~plan ~limits ~limit:max_int tai q
+      in
+      let part, part_counted, part_end, part_stats =
+        run_counted ~config ~plan ~limits ~limit tai q
+      in
+      let total = List.length full in
+      let shown = min limit total in
+      let fail fmt =
+        QCheck.Test.fail_reportf ("seed %d, limit %d: " ^^ fmt) seed limit
+      in
+      if full_counted <> 0 then fail "counted %d at limit max_int" full_counted
+      else if List.length part + part_counted <> total then
+        fail "total %d + %d, enumerated %d" (List.length part) part_counted
+          total
+      else if part_end <> full_end then fail "different ending"
+      else if take shown part <> take shown full then
+        fail "first %d matches differ" shown
+      else if
+        Run_stats.counters part_stats <> Run_stats.counters full_stats
+        || Run_stats.levels part_stats <> Run_stats.levels full_stats
+      then
+        fail "stats %s, enumerated %s"
+          (Format.asprintf "%a" Run_stats.pp part_stats)
+          (Format.asprintf "%a" Run_stats.pp full_stats)
+      else if full_end = None && total <> List.length (Naive.evaluate g q) then
+        fail "total %d, oracle %d" total (List.length (Naive.evaluate g q))
+      else true)
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -296,5 +423,6 @@ let () =
             test_engine_lifespan_full_intersection;
           Alcotest.test_case "intermediate counters" `Quick test_engine_intermediate_counted;
         ] );
-      qsuite "properties" [ prop_engine_matches_oracle; prop_engine_window_sweep ];
+      qsuite "properties"
+        [ prop_engine_matches_oracle; prop_engine_window_sweep; prop_counted_tail ];
     ]
