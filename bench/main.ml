@@ -948,14 +948,15 @@ let run_render () =
    and at none (a count). Each query runs at the three limits in turn,
    [rounds] times; its time is the median round. The counters of the
    three runs must agree exactly, since counting replaces enumeration
-   without changing the work it reports. *)
+   without changing the work it reports. Minor words per query are the
+   [Gc.minor_words] delta of the same median round. *)
 let run_tail () =
   section "Counted tail: TSRJoin engine time by response limit (Stack)";
   let engine = engine_of Tgraph.Dataset.Stack in
   let rounds = 5 in
   let limits = [ ("inf", max_int); ("100", 100); ("0", 0) ] in
-  Format.fprintf fmt "%-10s %6s %9s %12s %8s %12s %12s@." "shape" "limit"
-    "queries" "matches" "counted" "engine-ms" "ms/query";
+  Format.fprintf fmt "%-10s %6s %9s %12s %8s %12s %12s %14s@." "shape" "limit"
+    "queries" "matches" "counted" "engine-ms" "ms/query" "minor-w/query";
   List.iteri
     (fun i (shape, window_frac) ->
       let queries =
@@ -972,29 +973,33 @@ let run_tail () =
         |> List.filteri (fun j _ -> j < !n_queries)
         |> List.map (fun qi -> Equery.plain qi.Query_gen.query)
       in
-      (* one run: its time, the answer size, the counters (which must not
-         depend on the limit) and how many matches were counted *)
+      (* one run: its time and minor words, the answer size, the
+         counters (which must not depend on the limit) and how many
+         matches were counted *)
       let run limit eq =
         let stats = Run_stats.create () in
         let counted = ref 0 and emitted = ref 0 in
+        let w0 = Gc.minor_words () in
         let t0 = Unix.gettimeofday () in
         Engine.run_ext ~stats ~limit ~counted engine Engine.Tsrjoin eq
           ~emit:(fun _ -> incr emitted);
         let dt = Unix.gettimeofday () -. t0 in
-        ( dt,
+        let words = Gc.minor_words () -. w0 in
+        ( (dt, words),
           (!emitted + !counted, Run_stats.counters stats, Run_stats.levels stats),
           !counted )
       in
-      (* per query and limit: (median time, answer size, counted) *)
+      (* per query and limit: (median time, its round's minor words,
+         answer size, counted) *)
       let measure eq =
         let n_limits = List.length limits in
-        let times = Array.make_matrix n_limits rounds 0.0 in
+        let times = Array.make_matrix n_limits rounds (0.0, 0.0) in
         let last = Array.make n_limits ((0, [], [||]), 0) in
         for r = 0 to rounds - 1 do
           List.iteri
             (fun li (_, limit) ->
-              let dt, answer, counted = run limit eq in
-              times.(li).(r) <- dt;
+              let timed, answer, counted = run limit eq in
+              times.(li).(r) <- timed;
               last.(li) <- (answer, counted))
             limits
         done;
@@ -1010,25 +1015,27 @@ let run_tail () =
           (fun li _ ->
             Array.sort compare times.(li);
             let (total, _, _), counted = last.(li) in
-            (times.(li).(rounds / 2), total, counted))
+            let dt, words = times.(li).(rounds / 2) in
+            (dt, words, total, counted))
           limits
       in
       let measured = List.map measure queries in
       List.iteri
         (fun li (name, _) ->
           let rows = List.map (fun per -> List.nth per li) measured in
-          let seconds = List.fold_left (fun a (t, _, _) -> a +. t) 0.0 rows in
-          let matches = List.fold_left (fun a (_, n, _) -> a + n) 0 rows in
-          let counted = List.fold_left (fun a (_, _, c) -> a + c) 0 rows in
+          let seconds = List.fold_left (fun a (t, _, _, _) -> a +. t) 0.0 rows in
+          let words = List.fold_left (fun a (_, w, _, _) -> a +. w) 0.0 rows in
+          let matches = List.fold_left (fun a (_, _, n, _) -> a + n) 0 rows in
+          let counted = List.fold_left (fun a (_, _, _, c) -> a + c) 0 rows in
           let n = List.length rows in
-          let per_query =
-            if n = 0 then 0.0 else seconds *. 1000.0 /. float_of_int n
-          in
-          Format.fprintf fmt "%-10s %6s %9d %12d %8.1f%% %12.2f %12.3f@."
+          let per_query x = if n = 0 then 0.0 else x /. float_of_int n in
+          let ms_per_query = per_query (seconds *. 1000.0) in
+          let words_per_query = Float.to_int (per_query words) in
+          Format.fprintf fmt "%-10s %6s %9d %12d %8.1f%% %12.2f %12.3f %14d@."
             (Pattern.to_string shape) name n matches
             (if matches = 0 then 0.0
              else 100.0 *. float_of_int counted /. float_of_int matches)
-            (seconds *. 1000.0) per_query;
+            (seconds *. 1000.0) ms_per_query words_per_query;
           if !json_path <> None then
             json_rows :=
               Obs.Json.Obj
@@ -1043,7 +1050,8 @@ let run_tail () =
                   ("matches", Obs.Json.Int matches);
                   ("counted", Obs.Json.Int counted);
                   ("engine_ms", Obs.Json.Fixed (3, seconds *. 1000.0));
-                  ("ms_per_query", Obs.Json.Fixed (4, per_query));
+                  ("ms_per_query", Obs.Json.Fixed (4, ms_per_query));
+                  ("minor_words_per_query", Obs.Json.Int words_per_query);
                 ]
               :: !json_rows)
         limits)

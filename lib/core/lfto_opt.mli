@@ -46,7 +46,25 @@ val run :
   emit:(Tgraph.Edge.t array -> Temporal.Interval.t -> unit) ->
   unit ->
   unit
-(** Same contract as {!Lfto.run}. *)
+(** Same contract as {!Lfto.run}.
+
+    With one relation and no [trace], the sweep keeps no active list:
+    after the same prologue as the general sweep (the ECI start point,
+    then the slice), one pass over the start-sorted slice emits the
+    edges that start before [ws] and end at or after it, ordered by
+    (end, {!Tgraph.Edge.compare_by_start}) as the window transition
+    emits its active list, then every in-window edge in slice order,
+    each with its own interval as the lifespan. The emission order and
+    the [stats] counters at every emit are the general sweep's:
+    [scanned] runs through the first in-window edge at the transition,
+    through the next batch's first edge when a batch (a run of equal
+    starts under [use_lazy], one edge otherwise) is emitted, and over the
+    whole slice at the end, so a budget raised from [emit] stops with
+    the same counters. delSkip cannot cut a one-relation sweep short.
+    Every batch updates [stats] at least once, so deadline checks still
+    fire on a long pass. A [trace] keeps the general sweep, whose
+    [Inserted]/[Expired] events the one-relation pass does not have.
+    Under {!Obs.Sink.null} no span closure is made. *)
 
 val count :
   ?stats:Semantics.Run_stats.t ->
@@ -61,10 +79,11 @@ val count :
   int option
 (** The number of combinations {!run} would emit for one relation,
     without emitting them: [run]'s prologue (the ECI start point when
-    [config.use_eci], then the start-sorted slice up to [we]), then one
-    allocation-free pass counting the slice's edges that end at or after
-    [ws]. It runs under the same [Tai_probe]/[Tsr_slice]/[Interval_sweep]
-    spans as [run]. [Some n] adds to [stats] what [run] would have:
+    [config.use_eci], then the start-sorted slice up to [we]), then
+    [run]'s one-relation pass without [emit], which reads only the
+    edges starting before [ws]: the count is those still alive at [ws]
+    plus every in-window edge. It runs under the same
+    [Tai_probe]/[Tsr_slice]/[Interval_sweep] spans as [run]. [Some n] adds to [stats] what [run] would have:
     [scanned] by the slice length and [enum_steps] by [n]. [None] when
     [n > max_count], with [stats] untouched, so a caller near a budget
     can enumerate instead and stop at the same tuple.

@@ -104,6 +104,8 @@ let run ?stats ?(obs = Obs.Sink.null) ?(roots = All_roots)
      (mid-emit) while inner steps run their own LFTO, so contexts must
      not be shared across depths; within a depth, calls are sequential *)
   let lfto_ctxs = Array.init n_steps (fun _ -> Lfto_opt.create_context ()) in
+  (* optional arguments boxed once per run, not once per binding *)
+  let some_obs = Some obs and some_ctxs = Array.map Option.some lfto_ctxs in
   (* The counted tail. Once [limit] matches were emitted, a last step of
      one TSR over a plain core (no Allen constraint, no duration floor
      above one tick) counts its matches instead of enumerating them:
@@ -119,16 +121,15 @@ let run ?stats ?(obs = Obs.Sink.null) ?(roots = All_roots)
   in
   let run_lfto step_i tsrs ~ws ~we ~emit_combo =
     match config.mode with
-    | Basic -> Lfto.run ?stats ~obs ~tsrs ~ws ~we ~emit:emit_combo ()
+    | Basic -> Lfto.run ?stats ?obs:some_obs ~tsrs ~ws ~we ~emit:emit_combo ()
     | Optimized cfg -> (
-        let ctx = lfto_ctxs.(step_i) in
         let tail =
           if
             countable && step_i = last_step && !emitted >= limit
             && Array.length tsrs = 1
           then
-            Lfto_opt.count ?stats ~obs ~ctx ~config:cfg ~tsrs ~ws ~we
-              ~max_count:(room ()) ()
+            Lfto_opt.count ?stats ?obs:some_obs ~ctx:lfto_ctxs.(step_i)
+              ~config:cfg ~tsrs ~ws ~we ~max_count:(room ()) ()
           else None
         in
         match tail with
@@ -138,8 +139,8 @@ let run ?stats ?(obs = Obs.Sink.null) ?(roots = All_roots)
             | None -> ());
             counted := !counted + n
         | None ->
-            Lfto_opt.run ?stats ~obs ~ctx ~config:cfg ~tsrs ~ws ~we
-              ~emit:emit_combo ())
+            Lfto_opt.run ?stats ?obs:some_obs ?ctx:some_ctxs.(step_i)
+              ~config:cfg ~tsrs ~ws ~we ~emit:emit_combo ())
   in
   (* TSR of one step edge, with the pivot already bound: fully bound
      when both endpoints are (including self loops), half bound
@@ -151,81 +152,54 @@ let run ?stats ?(obs = Obs.Sink.null) ?(roots = All_roots)
     else if sb >= 0 then Tai.tsr_out tai ~lbl:e.Query.lbl ~src:sb
     else Tai.tsr_in tai ~lbl:e.Query.lbl ~dst:db
   in
-  let rec exec step_i life valid =
+  (* Per-level scratch, so a binding allocates nothing of its own: the
+     step's TSRs, the variables a combination newly binds (two per step
+     edge at most), and the lifespan and valid window of the partial
+     match a level extends, as two ints each. *)
+  let level_tsrs =
+    Array.map (fun st -> Array.make (Array.length st.Plan.edges) Tsr.empty) steps
+  in
+  let level_newly =
+    Array.map (fun st -> Array.make (2 * Array.length st.Plan.edges) 0) steps
+  in
+  let n_newly = Array.make n_steps 0 in
+  let life_lo = Array.make (n_steps + 1) min_int in
+  let life_hi = Array.make (n_steps + 1) max_int in
+  let valid_lo = Array.make (n_steps + 1) (Temporal.Interval.ts qw) in
+  let valid_hi = Array.make (n_steps + 1) (Temporal.Interval.te qw) in
+  let probe step_edges tsrs =
+    for j = 0 to Array.length step_edges - 1 do
+      tick_seek ();
+      tsrs.(j) <- tsr_for_edge step_edges.(j)
+    done
+  in
+  (* Whether [var] is, or now is, bound to [vertex]; a new binding is
+     recorded among the level's newly bound variables. *)
+  let bound_to level var vertex =
+    let b = bindings.(var) in
+    b = vertex
+    || b = -1
+       && begin
+            bindings.(var) <- vertex;
+            level_newly.(level).(n_newly.(level)) <- var;
+            n_newly.(level) <- n_newly.(level) + 1;
+            true
+          end
+  in
+  let emit_combos =
+    Array.make n_steps (fun (_ : Edge.t array) (_ : Temporal.Interval.t) -> ())
+  in
+  let rec exec step_i =
     if step_i = n_steps then begin
       tick_result ();
       incr emitted;
-      emit (Match_result.make (Array.copy assignment) life)
+      emit
+        (Match_result.make (Array.copy assignment)
+           (Temporal.Interval.make life_lo.(step_i) life_hi.(step_i)))
     end
     else begin
       let step = steps.(step_i) in
       let pivot = step.Plan.pivot in
-      let step_edges = step.Plan.edges in
-      let k = Array.length step_edges in
-      let handle_binding vb =
-        tick_binding ();
-        (* Bind the pivot for TSR retrieval; component roots need it
-           explicitly. *)
-        let pivot_was = bindings.(pivot) in
-        bindings.(pivot) <- vb;
-        let tsrs =
-          Obs.Sink.span obs Obs.Phase.Tai_probe (fun () ->
-              Array.map
-                (fun e ->
-                  tick_seek ();
-                  tsr_for_edge e)
-                step_edges)
-        in
-        if Array.exists Tsr.is_empty tsrs then bindings.(pivot) <- pivot_was
-        else begin
-          let emit_combo members combo_life =
-            (* Endpoint-consistency check + new-variable binding; two
-               step edges may share an unbound endpoint. *)
-            let newly = ref [] in
-            let ok = ref true in
-            for j = 0 to k - 1 do
-              if !ok then begin
-                let qe = step_edges.(j) in
-                let ge = members.(j) in
-                let check_or_bind var vertex =
-                  if bindings.(var) = -1 then begin
-                    bindings.(var) <- vertex;
-                    newly := var :: !newly
-                  end
-                  else if bindings.(var) <> vertex then ok := false
-                in
-                check_or_bind qe.Query.src_var (Edge.src ge);
-                if !ok then check_or_bind qe.Query.dst_var (Edge.dst ge)
-              end
-            done;
-            if !ok then begin
-              (* combo_life individually overlaps [valid] per member and
-                 is jointly non-empty, hence both intersections below are
-                 non-empty (see DESIGN.md §5). *)
-              let life' = Temporal.Interval.intersect_exn life combo_life in
-              (* durable-match push-down: lifespans only shrink, so a
-                 partial already below the duration floor is dead *)
-              if Temporal.Interval.length life' >= min_duration then begin
-              let valid' = Temporal.Interval.intersect_exn valid combo_life in
-              for j = 0 to k - 1 do
-                assignment.(step_edges.(j).Query.idx) <- Edge.id members.(j)
-              done;
-              if allen_cs = [] || allen_ok assignment then begin
-                tick_intermediate step_i;
-                exec (step_i + 1) life' valid'
-              end;
-              for j = 0 to k - 1 do
-                assignment.(step_edges.(j).Query.idx) <- -1
-              done
-              end
-            end;
-            List.iter (fun var -> bindings.(var) <- -1) !newly
-          in
-          run_lfto step_i tsrs ~ws:(Temporal.Interval.ts valid)
-            ~we:(Temporal.Interval.te valid) ~emit_combo;
-          bindings.(pivot) <- pivot_was
-        end
-      in
       if step.Plan.produce_binding then begin
         match roots with
         | Root_chunks { candidates; claim } when step_i = 0 ->
@@ -238,7 +212,7 @@ let run ?stats ?(obs = Obs.Sink.null) ?(roots = All_roots)
               | Some (lo, hi) ->
                   let lo = max 0 lo and hi = min hi (Array.length candidates) in
                   for i = lo to hi - 1 do
-                    handle_binding candidates.(i)
+                    handle_binding step_i candidates.(i)
                   done;
                   drain ()
             in
@@ -249,7 +223,7 @@ let run ?stats ?(obs = Obs.Sink.null) ?(roots = All_roots)
               | Root_filter f when step_i = 0 -> f
               | All_roots | Root_filter _ | Root_chunks _ -> fun _ -> true
             in
-            let key_sets = root_key_sets tai pivot step_edges in
+            let key_sets = root_key_sets tai pivot step.Plan.edges in
             let iters =
               Array.of_list
                 (List.map Triejoin.Key_iter.of_sorted_array_unchecked key_sets)
@@ -259,17 +233,84 @@ let run ?stats ?(obs = Obs.Sink.null) ?(roots = All_roots)
                   Triejoin.Leapfrog.create ~on_seek ~on_next iters)
             in
             Triejoin.Leapfrog.iter
-              (fun vb -> if keep vb then handle_binding vb)
+              (fun vb -> if keep vb then handle_binding step_i vb)
               lf
       end
       else begin
         let vb = bindings.(pivot) in
         assert (vb >= 0);
-        handle_binding vb
+        handle_binding step_i vb
       end
     end
+  and handle_binding step_i vb =
+    tick_binding ();
+    let step = steps.(step_i) in
+    let pivot = step.Plan.pivot in
+    (* Bind the pivot for TSR retrieval; component roots need it
+       explicitly. *)
+    let pivot_was = bindings.(pivot) in
+    bindings.(pivot) <- vb;
+    let tsrs = level_tsrs.(step_i) in
+    if Obs.Sink.enabled obs then
+      Obs.Sink.span obs Obs.Phase.Tai_probe (fun () ->
+          probe step.Plan.edges tsrs)
+    else probe step.Plan.edges tsrs;
+    if not (Array.exists Tsr.is_empty tsrs) then
+      run_lfto step_i tsrs ~ws:valid_lo.(step_i) ~we:valid_hi.(step_i)
+        ~emit_combo:emit_combos.(step_i);
+    bindings.(pivot) <- pivot_was
+  and emit_combo step_i members combo_life =
+    let step_edges = steps.(step_i).Plan.edges in
+    let k = Array.length step_edges in
+    (* Endpoint-consistency check + new-variable binding; two step edges
+       may share an unbound endpoint. *)
+    n_newly.(step_i) <- 0;
+    let ok = ref true and j = ref 0 in
+    while !ok && !j < k do
+      let qe = step_edges.(!j) and ge = members.(!j) in
+      ok :=
+        bound_to step_i qe.Query.src_var (Edge.src ge)
+        && bound_to step_i qe.Query.dst_var (Edge.dst ge);
+      incr j
+    done;
+    if !ok then begin
+      (* combo_life individually overlaps the valid window per member
+         and is jointly non-empty, hence both intersections below are
+         non-empty (see DESIGN.md §5). *)
+      let cts = Temporal.Interval.ts combo_life
+      and cte = Temporal.Interval.te combo_life in
+      let lo = if cts > life_lo.(step_i) then cts else life_lo.(step_i) in
+      let hi = if cte < life_hi.(step_i) then cte else life_hi.(step_i) in
+      (* durable-match push-down: lifespans only shrink, so a partial
+         already below the duration floor is dead *)
+      if hi - lo + 1 >= min_duration then begin
+        let next = step_i + 1 in
+        life_lo.(next) <- lo;
+        life_hi.(next) <- hi;
+        valid_lo.(next) <-
+          (if cts > valid_lo.(step_i) then cts else valid_lo.(step_i));
+        valid_hi.(next) <-
+          (if cte < valid_hi.(step_i) then cte else valid_hi.(step_i));
+        for j = 0 to k - 1 do
+          assignment.(step_edges.(j).Query.idx) <- Edge.id members.(j)
+        done;
+        if allen_cs = [] || allen_ok assignment then begin
+          tick_intermediate step_i;
+          exec next
+        end;
+        for j = 0 to k - 1 do
+          assignment.(step_edges.(j).Query.idx) <- -1
+        done
+      end
+    end;
+    for x = 0 to n_newly.(step_i) - 1 do
+      bindings.(level_newly.(step_i).(x)) <- -1
+    done
   in
-  exec 0 (Temporal.Interval.make min_int max_int) qw
+  for i = 0 to n_steps - 1 do
+    emit_combos.(i) <- emit_combo i
+  done;
+  exec 0
 
 let evaluate ?stats ?obs ?config ?plan tai q =
   Match_result.collect (fun emit ->

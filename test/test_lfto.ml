@@ -223,6 +223,154 @@ let prop_opt_matches_basic =
         (fun config -> collect_opt config tsrs ~ws ~we = expected)
         all_configs)
 
+(* ---------- the one-relation sweep ---------- *)
+
+(* One relation's edges as (ts, te) pairs around the window start [ws]:
+   free spans, spans ending at [ws - 1] or [ws], spans starting at
+   [ws], and repeated starts (equal-start batches). *)
+let gen_one_case =
+  QCheck.Gen.(
+    int_range 0 45 >>= fun ws ->
+    let span =
+      frequency
+        [
+          (3, pair (int_range 0 40) (int_range 0 10) >|= fun (s, d) -> (s, s + d));
+          (1, int_range 0 5 >|= fun d -> (ws - 1 - d, ws - 1));
+          (1, int_range 0 5 >|= fun d -> (ws - d, ws));
+          (1, int_range 0 5 >|= fun d -> (ws, ws + d));
+        ]
+    in
+    let spans =
+      list_size (int_range 0 14) span >>= fun spans ->
+      (* repeat some starts with other ends *)
+      list_size (int_range 0 4) (pair (int_range 0 40) (int_range 0 6))
+      >|= fun extra ->
+      match spans with
+      | [] -> spans
+      | _ ->
+          spans
+          @ List.map
+              (fun (pick, d) ->
+                let s, _ = List.nth spans (pick mod List.length spans) in
+                (s, s + d))
+              extra
+    in
+    quad spans (return ws) (int_range 0 10) bool)
+
+let arb_one_case =
+  QCheck.make gen_one_case ~print:(fun (spans, ws, width, coverage) ->
+      Printf.sprintf "%s @ [%d,%d]%s"
+        (String.concat ";"
+           (List.map (fun (a, b) -> Printf.sprintf "[%d,%d]" a b) spans))
+        ws (ws + width)
+        (if coverage then " with coverage" else ""))
+
+let one_tsr spans ~coverage =
+  let edges =
+    Array.of_list
+      (List.mapi
+         (fun id (ts, te) ->
+           Edge.make ~id ~src:0 ~dst:id ~lbl:0 (Temporal.Interval.make ts te))
+         spans)
+  in
+  Array.sort Edge.compare_by_start edges;
+  if coverage then
+    Tsr.make
+      ~coverage:(Temporal.Coverage.build (Array.map Edge.to_span edges))
+      (Triejoin.Slice.full edges)
+  else Tsr.make (Triejoin.Slice.full edges)
+
+exception Stop_emit
+
+(* A one-relation run: every emit as (ids, life, counters at the emit),
+   in order, then the counters at the end. A no-op [trace] forces the
+   general sweep. [stop_after n] raises from the n-th emit. *)
+let one_run ?ctx ~general ?(stop_after = max_int) config tsr ~ws ~we =
+  let stats = Semantics.Run_stats.create () in
+  let acc = ref [] in
+  let trace = if general then Some (fun (_ : Lfto.trace_event) -> ()) else None in
+  (try
+     Lfto_opt.run ~stats ?trace ?ctx ~config ~tsrs:[| tsr |] ~ws ~we
+       ~emit:(fun members life ->
+         acc :=
+           ( Array.to_list (Array.map Edge.id members),
+             life,
+             Semantics.Run_stats.counters stats )
+           :: !acc;
+         if List.length !acc >= stop_after then raise Stop_emit)
+       ()
+   with Stop_emit -> ());
+  (List.rev !acc, Semantics.Run_stats.counters stats)
+
+let prop_one_relation_sweep =
+  QCheck.Test.make ~name:"one-relation sweep = general sweep" ~count:400
+    arb_one_case (fun (spans, ws, width, coverage) ->
+      let tsr = one_tsr spans ~coverage and we = ws + width in
+      let ctx = Lfto_opt.create_context () in
+      List.for_all
+        (fun config ->
+          let ((emits, final) as general) =
+            one_run ~general:true config tsr ~ws ~we
+          in
+          let n = List.length emits in
+          one_run ~ctx ~general:false config tsr ~ws ~we = general
+          (* stopped from [emit] after each number of calls *)
+          && List.for_all
+               (fun stop_after ->
+                 one_run ~ctx ~general:false ~stop_after config tsr ~ws ~we
+                 = one_run ~general:true ~stop_after config tsr ~ws ~we)
+               (List.init n (fun i -> i + 1))
+          (* [count] is the same pass without emit *)
+          &&
+          let stats = Semantics.Run_stats.create () in
+          Lfto_opt.count ~stats ~ctx ~config ~tsrs:[| tsr |] ~ws ~we
+            ~max_count:max_int ()
+          = Some n
+          && Semantics.Run_stats.counters stats = final)
+        all_configs)
+
+(* The one-relation sweep allocates nothing per edge: with [emit]
+   ignored, a warm context makes the same minor words on 1K and 10K
+   edges, a quarter of them starting before the window and half of
+   those still alive at its start. *)
+let test_one_relation_allocation () =
+  let minor_words n =
+    let edges =
+      Array.init n (fun id ->
+          let ts = id / 2 in
+          let te = if id mod 4 = 0 then ts + (n / 4) else ts + (id mod 3) in
+          Edge.make ~id ~src:0 ~dst:id ~lbl:0 (Temporal.Interval.make ts te))
+    in
+    Array.sort Edge.compare_by_start edges;
+    let tsr =
+      Tsr.make
+        ~coverage:(Temporal.Coverage.build (Array.map Edge.to_span edges))
+        (Triejoin.Slice.full edges)
+    in
+    let ctx = Lfto_opt.create_context () in
+    let stats = Semantics.Run_stats.create () in
+    let emit _ _ = () in
+    let ws = n / 8 and we = n in
+    let go () =
+      Lfto_opt.run ~stats ~ctx ~config:Lfto_opt.all_on ~tsrs:[| tsr |] ~ws ~we
+        ~emit ()
+    in
+    go ();
+    let before = Gc.minor_words () in
+    go ();
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check bool)
+      (Printf.sprintf "%d edges emitted" n)
+      true
+      (stats.Semantics.Run_stats.enum_steps > n / 2);
+    words
+  in
+  let small = minor_words 1_000 and large = minor_words 10_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "1K edges %.0f words, 10K edges %.0f words" small large)
+    true
+    (Float.abs (large -. small) <= 64.0)
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -246,6 +394,13 @@ let () =
           Alcotest.test_case "scans fewer edges" `Quick test_opt_scans_fewer_edges;
           Alcotest.test_case "delSkip aborts" `Quick test_del_skip_aborts;
           Alcotest.test_case "window straddlers" `Quick test_window_straddlers_only;
+          Alcotest.test_case "one-relation sweep allocates nothing per edge"
+            `Quick test_one_relation_allocation;
         ] );
-      qsuite "properties" [ prop_basic_matches_brute; prop_opt_matches_basic ];
+      qsuite "properties"
+        [
+          prop_basic_matches_brute;
+          prop_opt_matches_basic;
+          prop_one_relation_sweep;
+        ];
     ]
